@@ -1,62 +1,66 @@
 //! In-order iteration over the tree.
 //!
 //! The paper's B+ tree links leaves so neighbours are reachable in O(1).
-//! Safe owned-`Box` trees cannot store sibling pointers, so this iterator
-//! keeps an explicit descent stack instead: `next()` is amortized O(1) and
-//! worst-case O(log n), which matches every use the sampling algorithms make
-//! of leaf links (full scans and successor walks).
+//! Safe owned-`Box` trees cannot store sibling pointers, so the walk keeps
+//! an explicit stack of child cursors instead. [`Leaves`] yields whole leaf
+//! slices — amortized O(1) per leaf, worst-case O(log n) — which is how bulk
+//! extraction copies the sample out; [`Iter`] flattens those slices for
+//! per-entry walks (successor searches, tests).
 
 use crate::node::Node;
 use crate::tree::BPlusTree;
 
+/// Borrowing in-order iterator over the tree's nonempty leaves, each as a
+/// key-sorted `&[(key, value)]` slice. Concatenated, the slices are exactly
+/// [`Iter`]'s sequence; an empty tree yields no slice at all.
+pub struct Leaves<'a, K, V> {
+    /// One cursor per level on the path to the next leaf: the siblings
+    /// still to visit at that level.
+    stack: Vec<std::slice::Iter<'a, Node<K, V>>>,
+}
+
+impl<'a, K: Ord + Clone, V> Leaves<'a, K, V> {
+    pub(crate) fn new(root: &'a Node<K, V>) -> Self {
+        Leaves {
+            stack: vec![std::slice::from_ref(root).iter()],
+        }
+    }
+}
+
+impl<'a, K: Ord + Clone, V> Iterator for Leaves<'a, K, V> {
+    type Item = &'a [(K, V)];
+
+    fn next(&mut self) -> Option<Self::Item> {
+        while let Some(level) = self.stack.last_mut() {
+            match level.next() {
+                None => {
+                    self.stack.pop();
+                }
+                // Only the root of an empty tree is an empty leaf.
+                Some(Node::Leaf(entries)) if !entries.is_empty() => {
+                    return Some(entries.as_slice())
+                }
+                Some(Node::Leaf(_)) => {}
+                Some(Node::Inner(inner)) => self.stack.push(inner.children.iter()),
+            }
+        }
+        None
+    }
+}
+
 /// Borrowing in-order iterator over `(key, value)` pairs.
-pub struct Iter<'a, K: Ord + Clone, V> {
-    /// Stack of (inner node, index of the next child to visit).
-    stack: Vec<(&'a Node<K, V>, usize)>,
-    /// Current leaf and cursor within it.
-    leaf: Option<(&'a [(K, V)], usize)>,
+pub struct Iter<'a, K, V> {
+    leaves: Leaves<'a, K, V>,
+    /// The rest of the current leaf.
+    leaf: std::slice::Iter<'a, (K, V)>,
 }
 
 impl<'a, K: Ord + Clone, V> Iter<'a, K, V> {
     pub(crate) fn new(root: &'a Node<K, V>) -> Self {
-        let mut it = Iter {
-            stack: Vec::new(),
-            leaf: None,
-        };
-        it.descend(root);
-        it
-    }
-
-    /// Push the leftmost path from `node` and park at its first leaf.
-    fn descend(&mut self, mut node: &'a Node<K, V>) {
-        loop {
-            match node {
-                Node::Leaf(entries) => {
-                    self.leaf = Some((entries.as_slice(), 0));
-                    return;
-                }
-                Node::Inner(inner) => {
-                    self.stack.push((node, 1));
-                    node = &inner.children[0];
-                }
-            }
+        Iter {
+            leaves: Leaves::new(root),
+            leaf: [].iter(),
         }
-    }
-
-    /// Advance to the next unvisited leaf, if any.
-    fn advance_leaf(&mut self) -> bool {
-        while let Some((node, next_child)) = self.stack.pop() {
-            let Node::Inner(inner) = node else {
-                unreachable!("stack holds inner nodes only")
-            };
-            if next_child < inner.children.len() {
-                self.stack.push((node, next_child + 1));
-                self.descend(&inner.children[next_child]);
-                return true;
-            }
-        }
-        self.leaf = None;
-        false
     }
 }
 
@@ -65,15 +69,10 @@ impl<'a, K: Ord + Clone, V> Iterator for Iter<'a, K, V> {
 
     fn next(&mut self) -> Option<Self::Item> {
         loop {
-            let (entries, pos) = self.leaf?;
-            if pos < entries.len() {
-                self.leaf = Some((entries, pos + 1));
-                let (k, v) = &entries[pos];
+            if let Some((k, v)) = self.leaf.next() {
                 return Some((k, v));
             }
-            if !self.advance_leaf() {
-                return None;
-            }
+            self.leaf = self.leaves.next()?.iter();
         }
     }
 }
@@ -101,6 +100,7 @@ mod tests {
     fn empty_tree_yields_nothing() {
         let t: BPlusTree<u64, ()> = BPlusTree::new();
         assert_eq!(t.iter().count(), 0);
+        assert_eq!(t.leaves().count(), 0);
     }
 
     #[test]

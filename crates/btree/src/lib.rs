@@ -11,8 +11,10 @@
 //!
 //! * **Leaf links.** TLX links leaf nodes so a scan can hop to the next leaf
 //!   in O(1). Safe Rust with `Box`-owned children cannot hold sibling
-//!   pointers without `unsafe` or `Rc<RefCell>`; instead, [`BPlusTree::iter`]
-//!   walks an explicit stack which is amortized O(1) per item — the same
+//!   pointers without `unsafe` or `Rc<RefCell>`; instead,
+//!   [`BPlusTree::leaves`] walks an explicit stack, amortized O(1) per leaf,
+//!   and hands out each leaf as a slice (bulk extraction copies one slice
+//!   at a time); [`BPlusTree::iter`] flattens those slices — the same
 //!   asymptotics for every use the algorithms make of the links.
 //! * **Split via join.** `split_at_key`/`split_at_rank` cut the tree along a
 //!   root-to-leaf path and reassemble both sides with O(log n) `join`
@@ -43,7 +45,7 @@ pub mod sched;
 pub mod seqlock;
 mod tree;
 
-pub use iter::{keys_of, Iter};
+pub use iter::{keys_of, Iter, Leaves};
 pub use key::SampleKey;
 pub use olc::{OlcStats, OlcTree, OLC_DEGREE};
 pub use pool::{NodePool, PoolStats, PAGE_NODES};

@@ -2,7 +2,7 @@
 
 use std::mem;
 
-use crate::iter::Iter;
+use crate::iter::{Iter, Leaves};
 use crate::node::{split_inner, split_leaf, Inner, Node, Spill};
 use crate::{DEFAULT_DEGREE, MIN_DEGREE};
 
@@ -338,6 +338,13 @@ impl<K: Ord + Clone, V> BPlusTree<K, V> {
     /// In-order iterator over `(key, value)` references.
     pub fn iter(&self) -> Iter<'_, K, V> {
         Iter::new(&self.root)
+    }
+
+    /// In-order iterator over the nonempty leaves as key-sorted slices —
+    /// the bulk-copy walk: a caller extends from one slice per leaf
+    /// instead of stepping entry by entry.
+    pub fn leaves(&self) -> Leaves<'_, K, V> {
+        Leaves::new(&self.root)
     }
 
     /// Verify every structural invariant; panics on violation. Test helper.

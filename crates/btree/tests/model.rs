@@ -33,6 +33,11 @@ fn check_equal(tree: &BPlusTree<u64, u32>, model: &BTreeMap<u64, u32>) {
     let tree_pairs: Vec<(u64, u32)> = tree.iter().map(|(k, v)| (*k, *v)).collect();
     let model_pairs: Vec<(u64, u32)> = model.iter().map(|(k, v)| (*k, *v)).collect();
     assert_eq!(tree_pairs, model_pairs);
+    // The leaf-slice walk is the same sequence, cut at leaf boundaries,
+    // with no empty slices (an empty tree yields none at all).
+    let leaves: Vec<&[(u64, u32)]> = tree.leaves().collect();
+    assert!(leaves.iter().all(|l| !l.is_empty()), "empty leaf slice");
+    assert_eq!(leaves.concat(), tree_pairs);
 }
 
 proptest! {

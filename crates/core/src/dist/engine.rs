@@ -477,7 +477,8 @@ impl<B: SamplerBackend> ReservoirProtocol<B> {
         if self.cfg.continuous == ContinuousMode::EveryBatch {
             // The collection itself is the freshest possible view; expose
             // it to snapshot readers too, reusing the collectives already
-            // run above (a pure local pointer swap).
+            // run above (a local copy of the slice, checksummed, then the
+            // pointer swap).
             let epoch_no = self.publisher.next_epoch();
             self.publisher.publish(SampleEpoch::new(
                 epoch_no,

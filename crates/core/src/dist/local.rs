@@ -105,7 +105,7 @@ impl LocalReservoir {
     /// every batch.
     pub fn items_into(&self, buf: &mut Vec<SampleItem>) {
         buf.clear();
-        buf.extend(self.tree.iter().map(|(k, w)| SampleItem::from_entry(k, *w)));
+        extend_le(&self.tree, None, buf);
     }
 
     /// Remove all entries.
@@ -357,6 +357,30 @@ impl LocalReservoir {
     }
 }
 
+/// Append `tree`'s entries with keys at or below `t` (`None` = all) to
+/// `buf`, one leaf slice at a time; the walk ends at the first leaf that
+/// holds a key above `t`. Only that leaf is searched: every leaf before it
+/// is kept whole on one comparison with its last key, which costs far less
+/// than a binary search per leaf.
+fn extend_le(tree: &BPlusTree<SampleKey, f64>, t: Option<&SampleKey>, buf: &mut Vec<SampleItem>) {
+    for leaf in tree.leaves() {
+        let keep = match t {
+            Some(t) if leaf.last().is_some_and(|(k, _)| k > t) => {
+                leaf.partition_point(|(k, _)| k <= t)
+            }
+            _ => leaf.len(),
+        };
+        buf.extend(
+            leaf[..keep]
+                .iter()
+                .map(|(k, w)| SampleItem::from_entry(k, *w)),
+        );
+        if keep < leaf.len() {
+            break;
+        }
+    }
+}
+
 /// What one [`PeReservoir::process`] call did: the scan counters plus the
 /// parallel path's timing detail.
 pub(crate) struct ScanOutcome {
@@ -500,32 +524,33 @@ impl PeReservoir {
     /// Current entries as sample items.
     pub fn items(&self) -> Vec<SampleItem> {
         let mut out = Vec::with_capacity(self.len() as usize);
-        self.items_into(&mut out);
+        self.items_le_into(None, &mut out);
         out
     }
 
-    /// Write the current entries into `buf` (cleared first), reusing its
-    /// allocation; all arms emit in ascending key order, so the extract
-    /// paths cannot diverge.
-    pub fn items_into(&self, buf: &mut Vec<SampleItem>) {
+    /// Write the entries with keys at or below `t` (`None` = all) into
+    /// `buf` (cleared first), reusing its allocation — the output
+    /// extraction. All arms emit in ascending key order, so the extract
+    /// paths cannot diverge, and none copies an entry above `t`: the
+    /// sequential trees stop their leaf walk at the first key past it.
+    pub fn items_le_into(&self, t: Option<&SampleKey>, buf: &mut Vec<SampleItem>) {
         buf.clear();
         match self {
-            PeReservoir::Seq(r) => {
-                buf.extend(r.tree().iter().map(|(k, w)| SampleItem::from_entry(k, *w)));
-            }
-            PeReservoir::Par(r) => {
-                buf.extend(r.tree().iter().map(|(k, w)| SampleItem::from_entry(k, *w)));
-            }
-            PeReservoir::Conc(r) => {
-                r.tree()
-                    .for_each(|k, w| buf.push(SampleItem::from_entry(k, w)));
-            }
+            PeReservoir::Seq(r) => extend_le(r.tree(), t, buf),
+            PeReservoir::Par(r) => extend_le(r.tree(), t, buf),
+            // The concurrent tree's walk cannot stop early; it skips the
+            // tail instead of copying it.
+            PeReservoir::Conc(r) => r.tree().for_each(|k, w| {
+                if t.is_none_or(|t| k <= t) {
+                    buf.push(SampleItem::from_entry(k, w));
+                }
+            }),
         }
     }
 
     /// Move all entries into `buf` (cleared first), reusing its allocation.
     pub fn drain_into(&mut self, buf: &mut Vec<SampleItem>) {
-        self.items_into(buf);
+        self.items_le_into(None, buf);
         match self {
             PeReservoir::Seq(r) => r.clear(),
             PeReservoir::Par(r) => r.clear(),

@@ -296,10 +296,7 @@ impl<C: Communicator> SamplerBackend for ShardEndpoint<'_, C> {
         times: &mut PhaseTimes,
     ) {
         let t0 = Instant::now();
-        self.local.items_into(buf);
-        if let Some(t) = t {
-            buf.truncate(self.local.count_le(t) as usize);
-        }
+        self.local.items_le_into(t, buf);
         times.output += t0.elapsed().as_secs_f64();
     }
 

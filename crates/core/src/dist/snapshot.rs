@@ -31,7 +31,9 @@
 //! word, and the previous `Arc` stays installed — the last epoch remains
 //! readable forever. Every epoch carries a checksum over its entire
 //! payload so the stress suite can assert "no torn reads" as a checkable
-//! invariant rather than a belief.
+//! invariant rather than a belief. It runs four independent multiply
+//! chains, so stamping or verifying a k = 10⁴ epoch costs less than
+//! extracting that epoch's items from the tree.
 //!
 //! Because the seqlock fires the [`reservoir_btree::sched`] hooks, the
 //! seeded `YieldInjector` used by the OLC stress suite drives genuine
@@ -92,23 +94,63 @@ pub struct SampleEpoch {
     /// Selection rounds the finalization spent producing this epoch (0
     /// when the union already fit in `k`).
     pub rounds: u32,
-    /// FNV-1a digest over every field above. A reader that recomputes it
-    /// and matches proves the epoch it holds is internally consistent —
-    /// the stress suite's torn-read oracle.
+    /// Four-lane multiply-rotate checksum over every field above: nine
+    /// head words, then each item's id, weight bits and key bits. Any single
+    /// changed word changes it with certainty, so a reader that recomputes
+    /// it and matches holds an internally consistent epoch — the stress
+    /// suite's torn-read oracle. A consistency witness, not a defence
+    /// against deliberate forgery.
     pub checksum: u64,
 }
 
-/// FNV-1a over a word stream: tiny, dependency-free, and plenty for a
-/// consistency witness (this is an integrity check, not a defense).
-fn fnv1a(words: impl Iterator<Item = u64>) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for w in words {
-        for b in w.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// Odd multiplier (⌊2⁶⁴/φ⌋), so multiplying by it permutes the `u64`s.
+const LANE_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
+/// Independent multiply chains; item `i` feeds lane `i % LANES`.
+const LANES: usize = 4;
+/// Distinct lane starting states (hex digits of π), plus one for the
+/// head chain the lanes fold into.
+const LANE_SEEDS: [u64; LANES] = [
+    0x243F_6A88_85A3_08D3,
+    0x1319_8A2E_0370_7344,
+    0xA409_3822_299F_31D0,
+    0x082E_FA98_EC4E_6C89,
+];
+const HEAD_SEED: u64 = 0x4528_21E6_38D0_1377;
+
+/// Absorb word `w` into lane state `h`. For a fixed `w` this is a
+/// bijection of `h` (xor, odd multiply and rotate all invert), so once a
+/// word differs the lane state differs through every later step; the
+/// rotate carries the product's well-mixed high bits down to where the
+/// next multiply spreads them.
+fn lane_step(h: u64, w: u64) -> u64 {
+    (h ^ w).wrapping_mul(LANE_MUL).rotate_left(29)
+}
+
+fn absorb_item(h: u64, s: &SampleItem) -> u64 {
+    let h = lane_step(h, s.id);
+    let h = lane_step(h, s.weight.to_bits());
+    lane_step(h, s.key.to_bits())
+}
+
+/// The epoch checksum: the head words run through one chain, the items
+/// through [`LANES`] interleaved chains (a quarter of the serial multiply
+/// latency of one chain), and the lanes fold into the head chain in lane
+/// order. A step is a bijection of the chain state for a fixed word and of
+/// the word for a fixed state, so one changed word changes its chain's
+/// state from there on, and with it the result.
+fn lane_checksum(head: &[u64], items: &[SampleItem]) -> u64 {
+    let mut lanes = LANE_SEEDS;
+    let mut quads = items.chunks_exact(LANES);
+    for quad in &mut quads {
+        for (h, s) in lanes.iter_mut().zip(quad) {
+            *h = absorb_item(*h, s);
         }
     }
-    h
+    for (h, s) in lanes.iter_mut().zip(quads.remainder()) {
+        *h = absorb_item(*h, s);
+    }
+    let head = head.iter().fold(HEAD_SEED, |h, &w| lane_step(h, w));
+    lanes.into_iter().fold(head, lane_step)
 }
 
 impl SampleEpoch {
@@ -149,8 +191,9 @@ impl SampleEpoch {
         self.items.len() as u64
     }
 
-    fn compute_checksum(&self) -> u64 {
-        let head = [
+    /// The nine head words the checksum covers, in order.
+    fn head_words(&self) -> [u64; 9] {
+        [
             self.epoch,
             self.offset,
             self.total,
@@ -164,12 +207,11 @@ impl SampleEpoch {
             self.threshold.map_or(0, f64::to_bits),
             self.rounds as u64,
             self.items.len() as u64,
-        ];
-        let body = self
-            .items
-            .iter()
-            .flat_map(|s| [s.id, s.weight.to_bits(), s.key.to_bits()]);
-        fnv1a(head.into_iter().chain(body))
+        ]
+    }
+
+    fn compute_checksum(&self) -> u64 {
+        lane_checksum(&self.head_words(), &self.items)
     }
 
     /// Whether the stored checksum matches the payload — `false` means a
@@ -366,6 +408,73 @@ mod tests {
         assert!(e.verify());
         e.items[2].key += 1.0;
         assert!(!e.verify(), "checksum must witness a torn payload");
+    }
+
+    #[test]
+    fn every_single_bit_flip_is_detected() {
+        // Exhaustive over a 5-item epoch: every bit of the 9 head words
+        // and the 15 item words. Head words such as the threshold-present
+        // flag or the item count have no field of their own to flip, so
+        // the head is flipped at the word level `verify` hashes.
+        let e = epoch(3, 5);
+        assert!(e.verify());
+        let head = e.head_words();
+        let mut flips = 0;
+        for word in 0..head.len() {
+            for bit in 0..64 {
+                let mut h = head;
+                h[word] ^= 1 << bit;
+                assert_ne!(
+                    lane_checksum(&h, &e.items),
+                    e.checksum,
+                    "head word {word} bit {bit}"
+                );
+                flips += 1;
+            }
+        }
+        for i in 0..e.items.len() {
+            for field in 0..3 {
+                for bit in 0..64 {
+                    let mut torn = e.clone();
+                    let s = &mut torn.items[i];
+                    match field {
+                        0 => s.id ^= 1 << bit,
+                        1 => s.weight = f64::from_bits(s.weight.to_bits() ^ 1 << bit),
+                        _ => s.key = f64::from_bits(s.key.to_bits() ^ 1 << bit),
+                    }
+                    assert!(!torn.verify(), "item {i} field {field} bit {bit}");
+                    flips += 1;
+                }
+            }
+        }
+        assert_eq!(flips, (9 + 15) * 64);
+    }
+
+    #[test]
+    fn reordered_items_are_detected() {
+        let e = epoch(4, 6);
+        let mut swapped = e.clone();
+        swapped.items.swap(1, 2);
+        assert!(!swapped.verify(), "neighbours in different lanes");
+        let mut swapped = e.clone();
+        swapped.items.swap(0, 4);
+        assert!(!swapped.verify(), "two items of the same lane");
+        let mut rotated = e.clone();
+        rotated.items.rotate_right(1);
+        assert!(!rotated.verify(), "last item moved to the front");
+    }
+
+    #[test]
+    fn every_lane_remainder_verifies_and_covers_its_tail() {
+        for len in [0, 1, 3, 4, 5, 7] {
+            let e = epoch(9, len);
+            assert!(e.verify(), "{len} items");
+            if let Some(last) = e.items.len().checked_sub(1) {
+                let mut torn = e.clone();
+                torn.items[last].key += 1.0;
+                assert!(!torn.verify(), "{len} items: last item unchecked");
+            }
+        }
     }
 
     #[test]

@@ -164,10 +164,7 @@ impl<C: Communicator> SamplerBackend for CommBackend<'_, C> {
         times: &mut PhaseTimes,
     ) {
         let t0 = Instant::now();
-        self.local.items_into(buf);
-        if let Some(t) = t {
-            buf.truncate(self.local.count_le(t) as usize);
-        }
+        self.local.items_le_into(t, buf);
         times.output += t0.elapsed().as_secs_f64();
     }
 
@@ -420,6 +417,48 @@ mod tests {
         assert_eq!(results[0].0.total_len(), lo);
         // Output phase time was recorded.
         assert!(results.iter().all(|(_, p)| p.output > 0.0));
+    }
+
+    #[test]
+    fn window_extraction_stops_at_the_threshold_on_every_arm() {
+        // Mid-window the union sits above k, so finalization cuts into the
+        // reservoirs. Each arm's bounded extraction must return exactly the
+        // copy-everything-then-truncate reference: the key-sorted prefix at
+        // or below the threshold, with everything after it above.
+        use crate::dist::MergeMode;
+        let arms = [
+            (1, MergeMode::Epilogue),
+            (4, MergeMode::Epilogue),
+            (4, MergeMode::Concurrent),
+        ];
+        for (threads, merge) in arms {
+            let results = run_threads(2, |comm| {
+                let cfg = DistConfig::weighted(25, 13)
+                    .with_size_window(25, 60)
+                    .with_threads(threads)
+                    .with_merge(merge);
+                let mut s = DistributedSampler::new(&comm, cfg);
+                for b in 0..5u64 {
+                    s.process_batch(&unit_batch(comm.rank(), b, 200));
+                }
+                let mut all = s.local_sample();
+                let handle = s.collect_output();
+                let t = handle.threshold().expect("finalized");
+                let keep = all.iter().filter(|m| m.key <= t).count();
+                all.truncate(keep);
+                (all, handle, s.local_len())
+            });
+            assert!(
+                results.iter().any(|(_, h, held)| *held > h.local_len()),
+                "{threads} threads, {merge:?}: no PE held members above the cut"
+            );
+            let mut offset = 0;
+            for (reference, handle, _) in &results {
+                assert_eq!(handle.local_items(), &reference[..]);
+                assert_eq!((handle.offset(), handle.total_len()), (offset, 25));
+                offset += handle.local_len();
+            }
+        }
     }
 
     #[test]
