@@ -13,7 +13,9 @@
 //!   "Collective Communication").
 //! * [`ThreadComm`] — a real parallel runtime: one OS thread per PE,
 //!   `std::sync::mpsc` channels as the interconnect, typed mailboxes with
-//!   tag matching. Used by tests, examples and the real-speedup benches.
+//!   tag matching, receives that poll briefly before they block, and a
+//!   poison packet from any PE that panics. Used by tests, examples and
+//!   the real-speedup benches.
 //! * [`CommStats`] — per-endpoint message/word/round counters, so
 //!   experiments can report exact communication volumes.
 //! * [`CostModel`] — the α–β (latency/bandwidth) model used by the cluster
@@ -99,6 +101,8 @@ pub trait Communicator {
     fn send_raw(&self, to: usize, tag: u64, msg: Box<dyn Any + Send>, words: u64);
 
     /// Receive the message sent by PE `from` under `tag`. Blocking.
+    /// Messages from one sender under one tag are received in the order
+    /// they were sent (MPI's non-overtaking rule).
     fn recv_raw(&self, from: usize, tag: u64) -> Box<dyn Any + Send>;
 
     /// Record communication for stats (called by provided methods).

@@ -8,11 +8,10 @@
 //! charges each reported round through its
 //! [`CostModel`](reservoir_comm::CostModel).
 
-use reservoir_btree::SampleKey;
 use reservoir_rng::Rng64;
 
 use crate::candidates::CandidateSet;
-use crate::state::{SelectParams, SelectResult, SelectionState, TargetRank};
+use crate::state::{combine_into, SelectParams, SelectResult, SelectionState, TargetRank};
 
 /// What the conductor observed: the result plus, per round, the all-reduce
 /// payload size in machine words (candidate vector + count vector; each
@@ -43,36 +42,39 @@ where
     let total: u64 = sets.iter().map(|s| s.total()).sum();
     let mut st = SelectionState::new(target, total, params);
     let mut round_payload_words = Vec::new();
+    // `combined`/`counts` hold the folded values; `local` is one PE's share.
+    let (mut combined, mut local) = (Vec::new(), Vec::new());
+    let (mut counts, mut local_counts) = (Vec::new(), Vec::new());
     loop {
         assert!(
             !st.over_budget(),
             "conductor selection exceeded its round budget"
         );
-        // Step 1+2: propose on every PE, fold as the all-reduce would.
-        let mut combined: Option<Vec<Option<SampleKey>>> = None;
+        // Step 1+2: propose on every PE, fold as the all-reduce would
+        // (`None` is the fold's identity).
+        let take_min = st.combine_is_min();
+        combined.clear();
+        combined.resize(st.num_pivots(), None);
         for (set, rng) in sets.iter().zip(rngs.iter_mut()) {
-            let local = st.propose(*set, rng);
-            combined = Some(match combined {
-                None => local,
-                Some(acc) => st.combine_candidates(acc, local),
-            });
+            local.clear();
+            st.propose(*set, rng, &mut local);
+            combine_into(&mut combined, &local, take_min);
         }
-        let combined = combined.expect("at least one PE");
         let candidate_words = 3 * st.num_pivots() as u64 + 1;
-        if !st.absorb_candidates(combined) {
+        if !st.absorb(&combined) {
             round_payload_words.push(candidate_words);
             continue;
         }
         // Step 3+4: count on every PE, fold, decide.
-        let mut counts: Option<Vec<u64>> = None;
+        counts.clear();
+        counts.resize(st.round_pivots(), 0);
         for set in sets {
-            let local = st.count(*set);
-            counts = Some(match counts {
-                None => local,
-                Some(acc) => acc.into_iter().zip(local).map(|(a, b)| a + b).collect(),
-            });
+            local_counts.clear();
+            st.count(*set, &mut local_counts);
+            for (a, b) in counts.iter_mut().zip(&local_counts) {
+                *a += b;
+            }
         }
-        let counts = counts.expect("at least one PE");
         round_payload_words.push(candidate_words + counts.len() as u64 + 1);
         if let Some(result) = st.decide(&counts) {
             return ConductorReport {
@@ -87,6 +89,7 @@ where
 mod tests {
     use super::*;
     use crate::candidates::SortedKeys;
+    use reservoir_btree::SampleKey;
     use reservoir_rng::{default_rng, DefaultRng};
 
     fn split_keys(n: u64, p: usize) -> Vec<SortedKeys> {

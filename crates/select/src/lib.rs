@@ -28,11 +28,13 @@
 //! approximate `amsSelect` of Section 3.3.2 (used by the variable-size
 //! reservoir of Section 4.4) passes a genuine window `k..k̄`.
 //!
-//! Two drivers share the same [`state::SelectionState`] machine:
+//! Three drivers share the same [`state::SelectionState`] machine:
 //! [`threaded::select_threaded`] runs the real message-passing protocol on a
-//! [`reservoir_comm::Communicator`]; [`conductor::select_conductor`] runs
-//! all PEs' steps inside one thread (used by the cluster simulator, which
-//! charges communication through a cost model instead of performing it).
+//! [`reservoir_comm::Communicator`]; [`threaded::select_threaded_many`] runs
+//! many independent selections behind one collective schedule (the sharded
+//! fleet's joint rounds); [`conductor::select_conductor`] runs all PEs'
+//! steps inside one thread (used by the cluster simulator, which charges
+//! communication through a cost model instead of performing it).
 
 mod candidates;
 mod conductor;

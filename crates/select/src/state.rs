@@ -1,8 +1,14 @@
-//! The round-state machine shared by both selection drivers.
+//! The round-state machine shared by all three selection drivers.
 //!
 //! One `SelectionState` instance evolves identically on every PE (threaded
-//! driver) or once in the conductor, because every transition depends only
+//! drivers) or once in the conductor, because every transition depends only
 //! on globally-agreed values (all-reduced pivot candidates and counts).
+//!
+//! A round allocates nothing of its own: `propose` appends to the caller's
+//! wire vector, `absorb` refills the state's pivot buffer in place and
+//! `count` appends to the caller's counts vector. A driver can therefore
+//! concatenate many states' rounds into one buffer per collective and reuse
+//! those buffers round after round.
 
 use reservoir_btree::SampleKey;
 use reservoir_obs::LazyCounter;
@@ -93,6 +99,29 @@ enum Direction {
     Top,
 }
 
+/// A pivot candidate as the candidate all-reduce carries it: the
+/// `(key, id)` of a [`SampleKey`], or `None` when a PE's scan ran past its
+/// local keys.
+pub(crate) type Candidate = Option<(f64, u64)>;
+
+/// Fold another PE's candidates into `acc`, slot by slot: the smaller key
+/// under a bottom scan (`take_min`), the larger under a mirrored top scan;
+/// `None` is the identity.
+pub(crate) fn combine_into(acc: &mut [Candidate], other: &[Candidate], take_min: bool) {
+    debug_assert_eq!(acc.len(), other.len());
+    for (x, y) in acc.iter_mut().zip(other) {
+        *x = match (*x, *y) {
+            (None, y) => y,
+            (x, None) => x,
+            (Some(a), Some(b)) => {
+                let (a, b) = (SampleKey::new(a.0, a.1), SampleKey::new(b.0, b.1));
+                let k = if take_min { a.min(b) } else { a.max(b) };
+                Some((k.key, k.id))
+            }
+        };
+    }
+}
+
 /// The evolving global state of one selection.
 pub(crate) struct SelectionState {
     /// Active open interval `(lo, hi)`; `None` = unbounded.
@@ -120,6 +149,7 @@ impl SelectionState {
             target.lo >= 1 && target.hi <= total,
             "target {target:?} outside 1..={total}"
         );
+        assert!(params.num_pivots >= 1, "at least one pivot per round");
         let mut s = SelectionState {
             lo: None,
             hi: None,
@@ -145,7 +175,8 @@ impl SelectionState {
         };
     }
 
-    /// Per-PE step 1: draw `d` local pivot candidates from `set`.
+    /// Per-PE step 1: append `d` local pivot candidates drawn from `set` to
+    /// `out` (the caller's wire vector).
     ///
     /// Each candidate is the first success of an independent Bernoulli scan
     /// of the local keys in the active range (in the current direction). A
@@ -154,75 +185,63 @@ impl SelectionState {
         &self,
         set: &S,
         rng: &mut impl Rng64,
-    ) -> Vec<Option<SampleKey>> {
+        out: &mut Vec<Candidate>,
+    ) {
         let m = set.count_in(self.lo.as_ref(), self.hi.as_ref());
         let success = match self.direction {
             Direction::Bottom => 1.0 / self.t_hi.max(1) as f64,
             Direction::Top => 1.0 / (self.n - self.t_lo + 1).max(1) as f64,
         };
-        (0..self.params.num_pivots)
-            .map(|_| {
-                let g = if success >= 1.0 {
-                    0
-                } else {
-                    rng.geometric_skips(success)
-                };
-                if g >= m {
-                    return None;
-                }
-                match self.direction {
-                    Direction::Bottom => set.select_above(self.lo.as_ref(), g),
-                    Direction::Top => set.select_below(self.hi.as_ref(), g),
-                }
-            })
-            .collect()
-    }
-
-    /// How candidate vectors combine across PEs: elementwise min (bottom
-    /// scans) or max (top scans); `None` is the identity.
-    pub fn combine_candidates(
-        &self,
-        mut a: Vec<Option<SampleKey>>,
-        b: Vec<Option<SampleKey>>,
-    ) -> Vec<Option<SampleKey>> {
-        debug_assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter_mut().zip(b) {
-            *x = match (x.take(), y) {
-                (None, y) => y,
-                (x, None) => x,
-                (Some(x), Some(y)) => Some(match self.direction {
-                    Direction::Bottom => x.min(y),
-                    Direction::Top => x.max(y),
-                }),
+        out.extend((0..self.params.num_pivots).map(|_| {
+            let g = if success >= 1.0 {
+                0
+            } else {
+                rng.geometric_skips(success)
             };
-        }
-        a
+            if g >= m {
+                return None;
+            }
+            let key = match self.direction {
+                Direction::Bottom => set.select_above(self.lo.as_ref(), g),
+                Direction::Top => set.select_below(self.hi.as_ref(), g),
+            };
+            key.map(|k| (k.key, k.id))
+        }));
     }
 
-    /// Global step 2: fix this round's pivots from the combined candidates.
-    /// Returns `false` if no PE produced any candidate (a wasted round; the
-    /// caller simply loops).
-    pub fn absorb_candidates(&mut self, combined: Vec<Option<SampleKey>>) -> bool {
+    /// Global step 2: fix this round's pivots from the combined candidate
+    /// segment, refilling the state's own pivot buffer in place. Returns
+    /// `false` if no PE produced any candidate (a wasted round; the caller
+    /// simply loops).
+    pub fn absorb(&mut self, combined: &[Candidate]) -> bool {
         self.rounds += 1;
         SELECT_ROUNDS.inc();
-        let mut pivots: Vec<SampleKey> = combined.into_iter().flatten().collect();
-        pivots.sort_unstable();
-        pivots.dedup();
-        self.pivots = pivots;
+        self.pivots.clear();
+        self.pivots.extend(
+            combined
+                .iter()
+                .flatten()
+                .map(|&(key, id)| SampleKey::new(key, id)),
+        );
+        self.pivots.sort_unstable();
+        self.pivots.dedup();
         !self.pivots.is_empty()
     }
 
-    /// Per-PE step 3: count local keys at or below each pivot, within the
-    /// active range.
-    pub fn count<S: CandidateSet + ?Sized>(&self, set: &S) -> Vec<u64> {
+    /// Number of pivots the last [`absorb`](Self::absorb) kept: the length
+    /// of this state's segment in the round's count vector.
+    pub fn round_pivots(&self) -> usize {
+        self.pivots.len()
+    }
+
+    /// Per-PE step 3: append the number of local keys at or below each
+    /// pivot, within the active range, to `out`.
+    pub fn count<S: CandidateSet + ?Sized>(&self, set: &S, out: &mut Vec<u64>) {
         let base = match &self.lo {
             Some(l) => set.count_le(l),
             None => 0,
         };
-        self.pivots
-            .iter()
-            .map(|pv| set.count_le(pv) - base)
-            .collect()
+        out.extend(self.pivots.iter().map(|pv| set.count_le(pv) - base));
     }
 
     /// Global step 4: inspect the summed counts; either finish or narrow the
@@ -313,13 +332,16 @@ mod tests {
         let set = keyset(total);
         let mut rng = default_rng(seed);
         let mut st = SelectionState::new(target, total, SelectParams::with_pivots(d));
+        let (mut cand, mut counts) = (Vec::new(), Vec::new());
         loop {
             assert!(!st.over_budget(), "selection did not terminate");
-            let cand = st.propose(&set, &mut rng);
-            if !st.absorb_candidates(cand) {
+            cand.clear();
+            st.propose(&set, &mut rng, &mut cand);
+            if !st.absorb(&cand) {
                 continue;
             }
-            let counts = st.count(&set);
+            counts.clear();
+            st.count(&set, &mut counts);
             if let Some(res) = st.decide(&counts) {
                 return res;
             }

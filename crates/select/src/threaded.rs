@@ -1,36 +1,10 @@
 //! Selection driver for the real message-passing backend.
 
-use reservoir_btree::SampleKey;
 use reservoir_comm::{Collectives, Communicator};
 use reservoir_rng::Rng64;
 
 use crate::candidates::CandidateSet;
-use crate::state::{SelectParams, SelectResult, SelectionState, TargetRank};
-
-type WireKey = (f64, u64);
-
-fn to_wire(k: Option<SampleKey>) -> Option<WireKey> {
-    k.map(|k| (k.key, k.id))
-}
-
-fn from_wire(w: Option<WireKey>) -> Option<SampleKey> {
-    w.map(|(key, id)| SampleKey::new(key, id))
-}
-
-fn combine_wire(
-    a: Vec<Option<WireKey>>,
-    b: Vec<Option<WireKey>>,
-    take_min: bool,
-) -> Vec<Option<WireKey>> {
-    a.into_iter()
-        .zip(b)
-        .map(|(x, y)| match (from_wire(x), from_wire(y)) {
-            (None, y) => to_wire(y),
-            (x, None) => to_wire(x),
-            (Some(x), Some(y)) => to_wire(Some(if take_min { x.min(y) } else { x.max(y) })),
-        })
-        .collect()
-}
+use crate::state::{combine_into, SelectParams, SelectResult, SelectionState, TargetRank};
 
 /// Find the key whose global rank (over the union of all PEs' sets) lies in
 /// `target`, using the pivot protocol of paper Section 3.3.3.
@@ -55,18 +29,27 @@ where
     S: CandidateSet + ?Sized,
 {
     let mut st = SelectionState::new(target, total, params);
+    // The vectors handed to the collectives come back combined and serve
+    // as the next round's buffers.
+    let (mut wire, mut counts) = (Vec::new(), Vec::new());
     loop {
         assert!(
             !st.over_budget(),
             "distributed selection exceeded its round budget"
         );
-        let local: Vec<Option<WireKey>> = st.propose(set, rng).into_iter().map(to_wire).collect();
+        wire.clear();
+        st.propose(set, rng, &mut wire);
         let take_min = st.combine_is_min();
-        let combined = comm.allreduce(local, |a, b| combine_wire(a, b, take_min));
-        if !st.absorb_candidates(combined.into_iter().map(from_wire).collect()) {
+        wire = comm.allreduce(wire, |mut a, b| {
+            combine_into(&mut a, &b, take_min);
+            a
+        });
+        if !st.absorb(&wire) {
             continue; // no PE sampled a pivot this round; retry
         }
-        let counts = comm.sum_u64_vec(st.count(set));
+        counts.clear();
+        st.count(set, &mut counts);
+        counts = comm.sum_u64_vec(counts);
         if let Some(res) = st.decide(&counts) {
             return res;
         }
@@ -124,85 +107,73 @@ where
     assert_eq!(targets.len(), n, "one target per task");
     assert_eq!(totals.len(), n, "one total per task");
     assert_eq!(rngs.len(), n, "one RNG stream per task");
+    let d = params.num_pivots;
     let mut states: Vec<Option<SelectionState>> = (0..n)
         .map(|i| Some(SelectionState::new(targets[i], totals[i], params)))
         .collect();
     let mut results: Vec<Option<SelectResult>> = vec![None; n];
     let mut joint_rounds = 0u32;
+    // Per-round buffers, reused across rounds: the combine direction of
+    // each undecided task's `d`-slot candidate segment, the concatenated
+    // candidates and the concatenated counts. The last two move into the
+    // collectives and come back combined, ready for the next round.
+    let mut take_min: Vec<bool> = Vec::with_capacity(n);
+    let (mut wire, mut counts) = (Vec::new(), Vec::new());
     while states.iter().any(Option::is_some) {
         joint_rounds += 1;
         // Step 1+2: concatenate every undecided task's candidate proposals
         // and combine them in ONE all-reduce. Segment boundaries and
         // per-segment directions are globally agreed because the states
         // evolve deterministically from all-reduced values.
-        let mut seg_len = vec![0usize; n];
-        let mut elem_min: Vec<bool> = Vec::new();
-        let mut wire: Vec<Option<WireKey>> = Vec::new();
+        wire.clear();
+        take_min.clear();
         for (i, st) in states.iter().enumerate() {
             let Some(st) = st else { continue };
             assert!(
                 !st.over_budget(),
                 "distributed selection exceeded its round budget (task {i})"
             );
-            let cand = st.propose(sets[i], &mut rngs[i]);
-            seg_len[i] = cand.len();
-            elem_min.extend(std::iter::repeat_n(st.combine_is_min(), cand.len()));
-            wire.extend(cand.into_iter().map(to_wire));
+            st.propose(sets[i], &mut rngs[i], &mut wire);
+            take_min.push(st.combine_is_min());
         }
-        let flags = elem_min;
-        let combined = comm.allreduce(wire, |a, b| {
-            a.into_iter()
-                .zip(b)
-                .zip(&flags)
-                .map(|((x, y), &take_min)| match (from_wire(x), from_wire(y)) {
-                    (None, y) => to_wire(y),
-                    (x, None) => to_wire(x),
-                    (Some(x), Some(y)) => to_wire(Some(if take_min { x.min(y) } else { x.max(y) })),
-                })
-                .collect()
-        });
-        // Step 3: absorb per task; tasks whose candidate segment came back
-        // empty waste this round (exactly as standalone `continue` does)
-        // and contribute no counts.
-        let mut offset = 0usize;
-        let mut absorbed = vec![false; n];
-        for i in 0..n {
-            let seg: Vec<Option<SampleKey>> = combined[offset..offset + seg_len[i]]
-                .iter()
-                .map(|w| from_wire(*w))
-                .collect();
-            offset += seg_len[i];
-            if let Some(st) = states[i].as_mut() {
-                absorbed[i] = st.absorb_candidates(seg);
+        wire = comm.allreduce(wire, |mut a, b| {
+            let segments = a.chunks_exact_mut(d).zip(b.chunks_exact(d));
+            for ((a, b), &m) in segments.zip(&take_min) {
+                combine_into(a, b, m);
             }
+            a
+        });
+        // Step 3: absorb per task; a task whose candidate segment came back
+        // empty wastes this round (exactly as standalone `continue` does),
+        // keeps no pivots and contributes no counts.
+        let mut any_absorbed = false;
+        for (st, seg) in states.iter_mut().flatten().zip(wire.chunks_exact(d)) {
+            any_absorbed |= st.absorb(seg);
         }
-        if !absorbed.iter().any(|&a| a) {
+        if !any_absorbed {
             continue; // every active task wasted the round; no count needed
         }
         // Step 3b+4: concatenate per-pivot counts into ONE sum_u64_vec and
         // let each absorbing task decide on its own segment.
-        let mut count_len = vec![0usize; n];
-        let mut counts: Vec<u64> = Vec::new();
-        for i in 0..n {
-            if absorbed[i] {
-                let c = states[i]
-                    .as_ref()
-                    .expect("absorbed ⇒ active")
-                    .count(sets[i]);
-                count_len[i] = c.len();
-                counts.extend(c);
+        counts.clear();
+        for (st, set) in states.iter().zip(sets) {
+            match st {
+                Some(st) if st.round_pivots() > 0 => st.count(*set, &mut counts),
+                _ => {}
             }
         }
-        let summed = comm.sum_u64_vec(counts);
+        counts = comm.sum_u64_vec(counts);
         let mut off = 0usize;
-        for i in 0..n {
-            let seg = &summed[off..off + count_len[i]];
-            off += count_len[i];
-            if absorbed[i] {
-                if let Some(res) = states[i].as_mut().expect("absorbed ⇒ active").decide(seg) {
-                    results[i] = Some(res);
-                    states[i] = None;
-                }
+        for (st, result) in states.iter_mut().zip(&mut results) {
+            let Some(s) = st else { continue };
+            let len = s.round_pivots();
+            if len == 0 {
+                continue; // this task wasted the round
+            }
+            *result = s.decide(&counts[off..off + len]);
+            off += len;
+            if result.is_some() {
+                *st = None;
             }
         }
     }
@@ -219,6 +190,7 @@ where
 mod tests {
     use super::*;
     use crate::candidates::SortedKeys;
+    use reservoir_btree::SampleKey;
     use reservoir_comm::run_threads;
     use reservoir_rng::{default_rng, SeedSequence, StreamKind};
 
@@ -324,75 +296,101 @@ mod tests {
         }
     }
 
+    /// Per PE: the batched outcome, the standalone results, and each
+    /// task's next RNG draw after the batched and after its standalone run.
+    type Trial = (MultiSelectResult, Vec<SelectResult>, Vec<u64>, Vec<u64>);
+
+    /// Run `targets` through one batched call and, on the same
+    /// communicator, through one standalone [`select_threaded`] per task
+    /// from an identical RNG stream. `keys(rank, t)` is PE `rank`'s share of
+    /// task `t`.
+    fn batched_vs_standalone(
+        p: usize,
+        keys: impl Fn(usize, usize) -> Vec<SampleKey> + Sync,
+        targets: &[TargetRank],
+        d: usize,
+    ) -> Vec<Trial> {
+        let tasks = targets.len();
+        let totals: Vec<u64> = (0..tasks)
+            .map(|t| (0..p).map(|r| keys(r, t).len() as u64).sum())
+            .collect();
+        let params = SelectParams::with_pivots(d);
+        run_threads(p, |comm| {
+            let rank = comm.rank();
+            let sets: Vec<SortedKeys> =
+                (0..tasks).map(|t| SortedKeys::new(keys(rank, t))).collect();
+            let refs: Vec<&SortedKeys> = sets.iter().collect();
+            let seq = SeedSequence::new(0xBEEF);
+            let stream = |t: usize| seq.rng_for(rank * 64 + t, StreamKind::Selection);
+            let mut rngs: Vec<_> = (0..tasks).map(stream).collect();
+            let many = select_threaded_many(&comm, &refs, targets, &totals, params, &mut rngs);
+            let many_next = rngs.iter_mut().map(|r| r.next_u64()).collect();
+            let (solo, solo_next) = (0..tasks)
+                .map(|t| {
+                    let mut rng = stream(t);
+                    let res =
+                        select_threaded(&comm, &sets[t], targets[t], totals[t], params, &mut rng);
+                    (res, rng.next_u64())
+                })
+                .unzip();
+            (many, solo, many_next, solo_next)
+        })
+    }
+
     /// The amortized driver must reproduce each standalone trajectory
-    /// byte-for-byte: same thresholds, same ranks, same per-task rounds.
+    /// byte-for-byte: same thresholds, same ranks, same per-task rounds,
+    /// and the same RNG consumption, so later batches stay identical too.
     #[test]
     fn many_matches_standalone_per_task() {
         let p = 3;
-        let tasks = 5u64;
-        let joint = run_threads(p, |comm| {
-            let rank = comm.rank();
-            let sets: Vec<SortedKeys> = (0..tasks)
-                .map(|t| {
-                    SortedKeys::new(
-                        (0..200 + t * 37)
-                            .filter(|i| *i as usize % p == rank)
-                            .map(|i| SampleKey::new(((i * 7919 + t * 13) % 1000) as f64, i))
-                            .collect(),
-                    )
-                })
-                .collect();
-            let refs: Vec<&SortedKeys> = sets.iter().collect();
-            let totals: Vec<u64> = (0..tasks).map(|t| 200 + t * 37).collect();
-            let targets: Vec<TargetRank> =
-                (0..tasks).map(|t| TargetRank::exact(10 + t * 29)).collect();
-            let seq = SeedSequence::new(0xBEEF);
-            let mut rngs: Vec<_> = (0..tasks)
-                .map(|t| seq.rng_for(rank * 64 + t as usize, StreamKind::Selection))
-                .collect();
-            let many = select_threaded_many(
-                &comm,
-                &refs,
-                &targets,
-                &totals,
-                SelectParams::with_pivots(2),
-                &mut rngs,
-            );
-            let solo: Vec<SelectResult> = (0..tasks as usize)
-                .map(|t| {
-                    let mut rng = seq.rng_for(rank * 64 + t, StreamKind::Selection);
-                    select_threaded(
-                        &comm,
-                        &sets[t],
-                        targets[t],
-                        totals[t],
-                        SelectParams::with_pivots(2),
-                        &mut rng,
-                    )
-                })
-                .collect();
-            (many, solo)
-        });
-        for (pe, (many, solo)) in joint.iter().enumerate() {
-            assert_eq!(many.results, *solo, "pe={pe}");
-            let max_rounds = solo.iter().map(|r| r.rounds).max().unwrap();
-            assert!(
-                many.joint_rounds >= max_rounds,
-                "joint rounds {} < slowest task {}",
-                many.joint_rounds,
-                max_rounds
-            );
-            // Amortization: the batch must not pay per-task rounds.
-            let sum_rounds: u32 = solo.iter().map(|r| r.rounds).sum();
-            assert!(
-                many.joint_rounds < sum_rounds,
-                "joint rounds {} not amortized vs per-task sum {}",
-                many.joint_rounds,
-                sum_rounds
-            );
+        // A spread of ranks over a few hundred keys per task, d = 2.
+        let spread: Vec<TargetRank> = (0..5).map(|t| TargetRank::exact(10 + t * 29)).collect();
+        let spread_keys = |rank: usize, t: usize| {
+            let t = t as u64;
+            (0..200 + t * 37)
+                .filter(|i| *i as usize % p == rank)
+                .map(|i| SampleKey::new(((i * 7919 + t * 13) % 1000) as f64, i))
+                .collect()
+        };
+        // The fleet's regime: exact rank k over a union of k + e keys
+        // (a mirrored top scan), d = 1, and PE 0 holds no keys for every
+        // third task, so wasted and absorbing tasks share joint rounds.
+        let k = 16u64;
+        let fleet: Vec<TargetRank> = (0..15).map(|_| TargetRank::exact(k)).collect();
+        let fleet_keys = |rank: usize, t: usize| {
+            let owners = if t.is_multiple_of(3) { 1..p } else { 0..p };
+            let n = k + (t % 5) as u64;
+            (0..n)
+                .filter(|&i| owners.start + i as usize % owners.len() == rank)
+                .map(|i| SampleKey::new(((i * 7919 + t as u64 * 13) % 1000) as f64, i))
+                .collect()
+        };
+        for trials in [
+            batched_vs_standalone(p, spread_keys, &spread, 2),
+            batched_vs_standalone(p, fleet_keys, &fleet, 1),
+        ] {
+            for (pe, (many, solo, many_next, solo_next)) in trials.iter().enumerate() {
+                assert_eq!(many.results, *solo, "pe={pe}");
+                assert_eq!(many_next, solo_next, "RNG consumption differs, pe={pe}");
+                let max_rounds = solo.iter().map(|r| r.rounds).max().unwrap();
+                assert!(
+                    many.joint_rounds >= max_rounds,
+                    "joint rounds {} < slowest task {}",
+                    many.joint_rounds,
+                    max_rounds
+                );
+                // Amortization: the batch must not pay per-task rounds.
+                let sum_rounds: u32 = solo.iter().map(|r| r.rounds).sum();
+                assert!(
+                    many.joint_rounds < sum_rounds,
+                    "joint rounds {} not amortized vs per-task sum {}",
+                    many.joint_rounds,
+                    sum_rounds
+                );
+            }
+            // Every PE agrees on the batched outcome.
+            assert!(trials.windows(2).all(|w| w[0].0 == w[1].0));
         }
-        // Every PE agrees on the batched outcome.
-        assert!(joint.windows(2).all(|w| w[0].0 == w[1].0));
     }
 
     #[test]
