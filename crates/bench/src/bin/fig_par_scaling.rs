@@ -7,24 +7,14 @@
 //! persistent crew (`DistConfig::with_persistent_pool`), whose per-batch
 //! spawn count drops to zero.
 //!
-//! Each (threads, pool) point is additionally swept over both **merge
-//! schedules**: the buffered scan epilogue and the concurrent shared-tree
-//! merge (`MergeMode::Concurrent`), where workers insert into the OLC
-//! tree as they scan — the single-threaded concurrent point is the
-//! merge-overhead baseline the no-regression guard watches.
-//!
 //! Emits a human-readable table on stdout and a machine-readable
 //! `BENCH_par_scan.json` (override the path with `RESERVOIR_BENCH_OUT`) —
 //! the recorded perf trajectory CI uploads as a non-gating artifact. The
 //! schema keeps every pre-engine field (`items_per_s`, `speedup_vs_seq`,
 //! `modeled_speedup`, `steals_per_batch`, `worker_imbalance`) so the
-//! trajectory stays comparable, and adds `spawns_per_batch`, the
-//! `persistent` flag, and per-entry `merge_mode` + `retries_per_batch`
-//! (seqlock conflicts; always 0 under the epilogue). Concurrent-merge
-//! points are additionally swept with contention-aware insertion
-//! (`leaf_affinity` column: key-ordered micro-batched inserts, the
-//! default) on and off — watch `retries_per_batch` drop with it on.
-//! Honours `RESERVOIR_BENCH_QUICK=1` for a reduced batch size.
+//! trajectory stays comparable, and adds `spawns_per_batch` and the
+//! `persistent` flag. Honours `RESERVOIR_BENCH_QUICK=1` for a reduced
+//! batch size.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -34,7 +24,7 @@ use reservoir_core::dist::engine::ReservoirProtocol;
 use reservoir_core::dist::local::LocalReservoir;
 use reservoir_core::dist::sim::LocalCostModel;
 use reservoir_core::dist::threaded::CommBackend;
-use reservoir_core::dist::{DistConfig, MergeMode};
+use reservoir_core::dist::DistConfig;
 use reservoir_par::DEFAULT_CHUNK_ITEMS;
 use reservoir_rng::{default_rng, Rng64};
 use reservoir_stream::Item;
@@ -49,21 +39,11 @@ const MAX_THREADS: usize = 8;
 struct Sweep {
     threads: usize,
     persistent: bool,
-    merge: MergeMode,
-    leaf_affinity: bool,
     items_per_s: f64,
     speedup_vs_seq: f64,
     steals: u64,
     spawns: u64,
-    retries: u64,
     worker_imbalance: f64,
-}
-
-fn merge_name(merge: MergeMode) -> &'static str {
-    match merge {
-        MergeMode::Epilogue => "epilogue",
-        MergeMode::Concurrent => "concurrent",
-    }
 }
 
 fn time_reps(mut f: impl FnMut(), reps: u32) -> f64 {
@@ -112,69 +92,52 @@ fn main() {
             if threads == 1 && persistent {
                 continue; // one worker has no helpers to keep alive
             }
-            for merge in [MergeMode::Epilogue, MergeMode::Concurrent] {
-                // Leaf affinity only exists on the concurrent path; the
-                // epilogue sweeps one (ignored-default) point.
-                let affinities: &[bool] = match merge {
-                    MergeMode::Concurrent => &[true, false],
-                    MergeMode::Epilogue => &[true],
-                };
-                for &leaf_affinity in affinities {
-                    // One PE over the engine: every measured batch runs the
-                    // full insert_scan → count → select_prune step.
-                    let items_ref = &items;
-                    let result = reservoir_comm::run_threads(1, move |comm| {
-                        let cfg = DistConfig::weighted(K, 1)
-                            .with_threads(threads)
-                            .with_persistent_pool(persistent)
-                            .with_merge(merge)
-                            .with_leaf_affinity(leaf_affinity);
-                        let mut engine = ReservoirProtocol::new(CommBackend::new(&comm, &cfg), cfg);
-                        // Warm up: establishes the threshold and the crew.
-                        let _ = engine.step(items_ref);
-                        let mut steals = 0u64;
-                        let mut spawns = 0u64;
-                        let mut retries = 0u64;
-                        let mut max_busy = 0.0f64;
-                        let mut sum_busy = 0.0f64;
-                        let per = time_reps(
-                            || {
-                                let report = engine.step(items_ref);
-                                steals += report.scan.steals;
-                                spawns += report.scan.spawns;
-                                retries += report.scan.retries;
-                                if let Some(par) = engine.backend().last_par_scan() {
-                                    max_busy += par.max_worker_scan_s();
-                                    sum_busy += par.worker_scan_s.iter().sum::<f64>();
-                                }
-                            },
-                            reps,
-                        );
-                        (per, steals, spawns, retries, max_busy, sum_busy)
-                    });
-                    let (per, steals, spawns, retries, max_busy, sum_busy) = result[0];
-                    let items_per_s = b as f64 / per;
-                    sweep.push(Sweep {
-                        threads,
-                        persistent,
-                        merge,
-                        leaf_affinity,
-                        items_per_s,
-                        speedup_vs_seq: items_per_s / baseline,
-                        steals: steals / reps as u64,
-                        spawns: spawns / reps as u64,
-                        retries: retries / reps as u64,
-                        // max/mean worker busy time: 1.0 = perfectly balanced.
-                        // One worker (the sequential path, which reports no
-                        // per-worker breakdown) is trivially balanced.
-                        worker_imbalance: if threads == 1 || sum_busy <= 0.0 {
-                            1.0
-                        } else {
-                            max_busy / (sum_busy / threads as f64)
-                        },
-                    });
-                }
-            }
+            // One PE over the engine: every measured batch runs the full
+            // insert_scan → count → select_prune step.
+            let items_ref = &items;
+            let result = reservoir_comm::run_threads(1, move |comm| {
+                let cfg = DistConfig::weighted(K, 1)
+                    .with_threads(threads)
+                    .with_persistent_pool(persistent);
+                let mut engine = ReservoirProtocol::new(CommBackend::new(&comm, &cfg), cfg);
+                // Warm up: establishes the threshold and the crew.
+                let _ = engine.step(items_ref);
+                let mut steals = 0u64;
+                let mut spawns = 0u64;
+                let mut max_busy = 0.0f64;
+                let mut sum_busy = 0.0f64;
+                let per = time_reps(
+                    || {
+                        let report = engine.step(items_ref);
+                        steals += report.scan.steals;
+                        spawns += report.scan.spawns;
+                        if let Some(par) = engine.backend().last_par_scan() {
+                            max_busy += par.max_worker_scan_s();
+                            sum_busy += par.worker_scan_s.iter().sum::<f64>();
+                        }
+                    },
+                    reps,
+                );
+                (per, steals, spawns, max_busy, sum_busy)
+            });
+            let (per, steals, spawns, max_busy, sum_busy) = result[0];
+            let items_per_s = b as f64 / per;
+            sweep.push(Sweep {
+                threads,
+                persistent,
+                items_per_s,
+                speedup_vs_seq: items_per_s / baseline,
+                steals: steals / reps as u64,
+                spawns: spawns / reps as u64,
+                // max/mean worker busy time: 1.0 = perfectly balanced.
+                // One worker (the sequential path, which reports no
+                // per-worker breakdown) is trivially balanced.
+                worker_imbalance: if threads == 1 || sum_busy <= 0.0 {
+                    1.0
+                } else {
+                    max_busy / (sum_busy / threads as f64)
+                },
+            });
         }
     }
 
@@ -186,22 +149,19 @@ fn main() {
         baseline, costs.par_serial_frac
     );
     println!(
-        "\n| threads | pool | merge | affinity | items/s | speedup vs seq | modeled | steals/batch | spawns/batch | retries/batch | imbalance |"
+        "\n| threads | pool | items/s | speedup vs seq | modeled | steals/batch | spawns/batch | imbalance |"
     );
-    println!("|---|---|---|---|---|---|---|---|---|---|---|");
+    println!("|---|---|---|---|---|---|---|---|");
     for s in &sweep {
         println!(
-            "| {} | {} | {} | {} | {:.3e} | {:.2}x | {:.2}x | {} | {} | {} | {:.2} |",
+            "| {} | {} | {:.3e} | {:.2}x | {:.2}x | {} | {} | {:.2} |",
             s.threads,
             if s.persistent { "crew" } else { "scope" },
-            merge_name(s.merge),
-            if s.leaf_affinity { "on" } else { "off" },
             s.items_per_s,
             s.speedup_vs_seq,
             costs.scan_speedup(s.threads as u64),
             s.steals,
             s.spawns,
-            s.retries,
             s.worker_imbalance,
         );
     }
@@ -228,23 +188,18 @@ fn main() {
     for (i, s) in sweep.iter().enumerate() {
         let _ = writeln!(
             json,
-            "    {{\"threads\": {}, \"persistent\": {}, \"merge_mode\": \"{}\", \
-             \"leaf_affinity\": {}, \
+            "    {{\"threads\": {}, \"persistent\": {}, \
              \"items_per_s\": {:.6e}, \
              \"speedup_vs_seq\": {:.4}, \"modeled_speedup\": {:.4}, \
              \"steals_per_batch\": {}, \"spawns_per_batch\": {}, \
-             \"retries_per_batch\": {}, \
              \"worker_imbalance\": {:.4}}}{}",
             s.threads,
             s.persistent,
-            merge_name(s.merge),
-            s.leaf_affinity,
             s.items_per_s,
             s.speedup_vs_seq,
             costs.scan_speedup(s.threads as u64),
             s.steals,
             s.spawns,
-            s.retries,
             s.worker_imbalance,
             if i + 1 < sweep.len() { "," } else { "" },
         );

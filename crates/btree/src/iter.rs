@@ -5,25 +5,37 @@
 //! an explicit stack of child cursors instead. [`Leaves`] yields whole leaf
 //! slices — amortized O(1) per leaf, worst-case O(log n) — which is how bulk
 //! extraction copies the sample out; [`Iter`] flattens those slices for
-//! per-entry walks (successor searches, tests).
+//! per-entry walks (successor searches, tests). The stack is a fixed array
+//! inside the iterator, so a walk never touches the allocator: a shard
+//! fleet extracts hundreds of small trees per collection, where a heap
+//! stack per walk costs more than copying the entries out.
 
 use crate::node::Node;
 use crate::tree::BPlusTree;
+
+/// Cursor slots of a [`Leaves`] walk, one per tree level. At
+/// [`MIN_DEGREE`](crate::MIN_DEGREE) every non-root inner node has at
+/// least 2 children and every non-root leaf at least 2 entries, so a tree
+/// of height h ≥ 1 holds at least 2^(h+1) entries. A length that fits in
+/// `usize` therefore bounds h by `usize::BITS - 2`, and the h + 1 levels
+/// of the walk fit in this many slots.
+const MAX_LEVELS: usize = usize::BITS as usize;
 
 /// Borrowing in-order iterator over the tree's nonempty leaves, each as a
 /// key-sorted `&[(key, value)]` slice. Concatenated, the slices are exactly
 /// [`Iter`]'s sequence; an empty tree yields no slice at all.
 pub struct Leaves<'a, K, V> {
     /// One cursor per level on the path to the next leaf: the siblings
-    /// still to visit at that level.
-    stack: Vec<std::slice::Iter<'a, Node<K, V>>>,
+    /// still to visit at that level. Only `stack[..depth]` is live.
+    stack: [std::slice::Iter<'a, Node<K, V>>; MAX_LEVELS],
+    depth: usize,
 }
 
 impl<'a, K: Ord + Clone, V> Leaves<'a, K, V> {
     pub(crate) fn new(root: &'a Node<K, V>) -> Self {
-        Leaves {
-            stack: vec![std::slice::from_ref(root).iter()],
-        }
+        let mut stack = std::array::from_fn(|_| [].iter());
+        stack[0] = std::slice::from_ref(root).iter();
+        Leaves { stack, depth: 1 }
     }
 }
 
@@ -31,17 +43,18 @@ impl<'a, K: Ord + Clone, V> Iterator for Leaves<'a, K, V> {
     type Item = &'a [(K, V)];
 
     fn next(&mut self) -> Option<Self::Item> {
-        while let Some(level) = self.stack.last_mut() {
-            match level.next() {
-                None => {
-                    self.stack.pop();
-                }
+        while self.depth > 0 {
+            match self.stack[self.depth - 1].next() {
+                None => self.depth -= 1,
                 // Only the root of an empty tree is an empty leaf.
                 Some(Node::Leaf(entries)) if !entries.is_empty() => {
                     return Some(entries.as_slice())
                 }
                 Some(Node::Leaf(_)) => {}
-                Some(Node::Inner(inner)) => self.stack.push(inner.children.iter()),
+                Some(Node::Inner(inner)) => {
+                    self.stack[self.depth] = inner.children.iter();
+                    self.depth += 1;
+                }
             }
         }
         None

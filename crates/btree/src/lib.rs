@@ -15,7 +15,9 @@
 //!   [`BPlusTree::leaves`] walks an explicit stack, amortized O(1) per leaf,
 //!   and hands out each leaf as a slice (bulk extraction copies one slice
 //!   at a time); [`BPlusTree::iter`] flattens those slices — the same
-//!   asymptotics for every use the algorithms make of the links.
+//!   asymptotics for every use the algorithms make of the links. The stack
+//!   is a fixed array inside the iterator, sized from the node invariants,
+//!   so neither walk allocates.
 //! * **Split via join.** `split_at_key`/`split_at_rank` cut the tree along a
 //!   root-to-leaf path and reassemble both sides with O(log n) `join`
 //!   operations, exactly the classic B-tree split; total cost O(log² n)
@@ -27,28 +29,22 @@
 //! total order (`f64::total_cmp`, then id) so keys are unique even in the
 //! measure-zero event of equal floating-point keys.
 //!
-//! A second, **concurrent** tree lives alongside the sequential one:
-//! [`OlcTree`], a fixed-degree B+ tree over seqlock-based optimistic lock
-//! coupling ([`seqlock`], [`sched`]), lets many scan workers insert into
-//! one shared reservoir with no merge epilogue. See the [`olc`] module
-//! docs for the protocol. Its node storage is a page-granular
-//! [`NodePool`] ([`pool`]) that any number of trees can share — the
-//! allocator lever that makes a multi-tenant shard fleet cost O(pages)
-//! heap allocations instead of one arena per reservoir.
+//! Two lock-free building blocks for the snapshot service live here too:
+//! [`SeqLock`], the one-word sequence lock behind
+//! `reservoir_core::dist::snapshot::EpochPublisher`, and the [`sched`]
+//! hook points it fires, which [`sched::YieldInjector`] drives to force
+//! reader/writer races in the stress suites.
 
 mod iter;
 mod key;
 mod node;
-pub mod olc;
-pub mod pool;
 pub mod sched;
 pub mod seqlock;
+mod stress;
 mod tree;
 
 pub use iter::{keys_of, Iter, Leaves};
 pub use key::SampleKey;
-pub use olc::{OlcStats, OlcTree, OLC_DEGREE};
-pub use pool::{NodePool, PoolStats, PAGE_NODES};
 pub use seqlock::{SeqLock, WriteGuard};
 pub use tree::BPlusTree;
 

@@ -1,45 +1,44 @@
-//! Scheduler instrumentation points for the concurrent tree layer.
+//! Scheduler instrumentation points for the lock-free layer, and the
+//! seeded yield injector that drives them.
 //!
-//! The optimistic-lock-coupling tree ([`crate::OlcTree`]) calls
-//! [`hook`] at every interesting point of its concurrency protocol —
-//! before optimistic reads, on validation, around lock acquisition,
-//! inside splits. In production the hook is a single relaxed atomic load
-//! (disabled, no callback installed). Stress harnesses — notably
-//! `reservoir_par`'s seeded yield injector — install a callback with
-//! [`set_hook`] to force specific interleavings: a `yield_now` between a
-//! read and its validation widens the read-validate race window, a sleep
-//! after `LockAcquired` forces optimistic readers into their bounded-spin
-//! conflict path, a panic at `ReadBegin` simulates a worker dying outside
-//! a critical section.
+//! [`SeqLock`](crate::SeqLock) calls [`hook`] at every interesting point of
+//! its protocol: before an optimistic read, while spinning on a held lock,
+//! right after a lock is acquired, and on unlock. In production the hook
+//! is a single relaxed atomic load (disabled, no callback installed).
+//! Stress harnesses install a callback with [`set_hook`] — normally
+//! through [`YieldInjector`] — to force specific interleavings: a
+//! `yield_now` between a read and its validation widens the
+//! read-validate race window, a sleep after `LockAcquired` forces
+//! optimistic readers into their bounded-spin conflict path, a panic at
+//! `ReadBegin` simulates a thread dying outside a critical section.
 //!
 //! The hook is process-global; tests that install one must serialize
-//! against each other (the stress suites share a mutex). A callback that
-//! panics unwinds into the tree operation that triggered it — the tree
-//! only fires events *outside* its exclusive critical sections, so an
-//! unwinding hook can never leave a node half-mutated or a lock held.
+//! against each other ([`hook_test_guard`], which every [`YieldGuard`]
+//! holds). A callback that panics unwinds into the operation that
+//! triggered it — the seqlock only fires events *outside* its exclusive
+//! critical sections, so an unwinding hook can never leave a payload
+//! half-mutated or a lock held.
+//!
+//! The seeded [`YieldInjector`] that drives these hooks lives in a module
+//! of its own and is re-exported here.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, MutexGuard, RwLock};
 
-/// Where in the concurrency protocol the event fired.
+pub use crate::stress::{YieldGuard, YieldInjector};
+
+/// Where in the lock protocol the event fired.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SchedEvent {
-    /// About to take an optimistic version snapshot of a node.
+    /// About to take an optimistic version snapshot.
     ReadBegin,
-    /// Spinning because the node is currently write-locked.
+    /// Spinning because the lock is currently held by a writer.
     ReadSpin,
-    /// Read a child pointer; about to validate the parent version.
-    Descend,
-    /// A version validation failed or a lock upgrade lost its race; the
-    /// whole operation will restart from the root.
-    Conflict,
     /// An exclusive lock was acquired (fired just before the critical
     /// section begins mutating).
     LockAcquired,
     /// An exclusive lock was released.
     Unlock,
-    /// A full node was split (fired after both locks are released).
-    Split,
 }
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
@@ -60,7 +59,7 @@ pub fn set_hook(hook: Option<Hook>) -> Option<Hook> {
 /// Serialize tests that install the global hook: hold the returned guard
 /// for the whole install..uninstall span. Poisoning is ignored — a
 /// previous test's (possibly deliberate) panic must not cascade.
-pub fn hook_test_guard() -> std::sync::MutexGuard<'static, ()> {
+pub fn hook_test_guard() -> MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
@@ -103,11 +102,11 @@ mod tests {
             h.fetch_add(1, Ordering::Relaxed);
         })));
         hook(SchedEvent::ReadBegin);
-        hook(SchedEvent::Conflict);
+        hook(SchedEvent::Unlock);
         let installed = set_hook(prev);
         assert!(installed.is_some(), "uninstall must return our hook");
-        // Concurrent tree tests in this binary may also fire events while
-        // our hook is installed, so only a lower bound is stable.
+        // Seqlock tests in this binary may also fire events while our
+        // hook is installed, so only a lower bound is stable.
         assert!(hits.load(Ordering::Relaxed) >= 2);
     }
 }

@@ -1,5 +1,6 @@
-//! One-word sequence lock: the per-node synchronization primitive of the
-//! concurrent tree layer ([`crate::OlcTree`]).
+//! One-word sequence lock: the synchronization primitive of the snapshot
+//! service (`reservoir_core::dist::snapshot::EpochPublisher` guards its
+//! epoch pointer with one).
 //!
 //! The word holds a version counter in which the low bit doubles as the
 //! write-lock flag: **even = unlocked, odd = write-locked**. Readers never
@@ -7,8 +8,8 @@
 //!
 //! * [`SeqLock::read_begin`] snapshots an even (unlocked) version,
 //!   spinning a bounded number of times if a writer holds the lock;
-//! * the reader then reads node payload words (each its own relaxed
-//!   atomic, so a racing writer can make the *set* inconsistent but never
+//! * the reader then reads the guarded payload (atomics only, so a racing
+//!   writer can make the *set* of values read inconsistent but never
 //!   undefined);
 //! * [`SeqLock::validate`] re-reads the version — unchanged means no
 //!   writer completed (or started) in between, so the reads form a
@@ -16,12 +17,11 @@
 //!
 //! Writers upgrade optimistically: [`SeqLock::try_lock`] compare-exchanges
 //! the exact version the reader observed to its odd successor, which
-//! *atomically* validates the read set and acquires the lock — the
-//! `guard.upgrade()` step of the optimistic-lock-coupling descent.
+//! *atomically* validates the read set and acquires the lock.
 //! [`WriteGuard`] releases by storing `version + 2`: the next even value,
 //! so every write ends with a fresh version and invalidates all optimistic
 //! readers that overlapped it. The guard unlocks on drop, so a panicking
-//! writer cannot leave the node locked (the tree keeps its critical
+//! writer cannot leave the lock held (callers keep their critical
 //! sections panic-free, so an unwound guard never publishes a half
 //! mutation either).
 
@@ -37,16 +37,16 @@ static READ_SPINS: LazyCounter = LazyCounter::new(
     "seqlock_read_spins_total",
     "spin iterations optimistic readers burned waiting out writers",
 );
-/// Reads that exhausted the spin budget and restarted from the root.
+/// Reads that exhausted the spin budget and started over.
 static READ_RETRIES: LazyCounter = LazyCounter::new(
     "seqlock_read_retries_total",
     "optimistic reads that exhausted the spin budget and restarted",
 );
 
 /// Bounded spin budget of [`SeqLock::read_begin`] before it reports a
-/// conflict instead of waiting out the writer. Small: conflicts restart
-/// from the root, which is cheap at reservoir sizes, and the counter they
-/// bump is what the stress suites assert on.
+/// conflict instead of waiting out the writer. Small: a conflicted read
+/// simply starts over, and the counter it bumps is what the stress suites
+/// assert on.
 const SPIN_LIMIT: u32 = 128;
 
 /// A version word whose low bit is the write-lock flag.
@@ -66,9 +66,9 @@ impl SeqLock {
     }
 
     /// Begin an optimistic read: return the current (even) version, or
-    /// `Err(())` if a writer kept the node locked past the spin budget.
+    /// `Err(())` if a writer kept the lock held past the spin budget.
     /// The error carries no detail by design — every caller's only
-    /// response is to restart from the root.
+    /// response is to start the read over.
     #[inline]
     #[allow(clippy::result_unit_err)]
     pub fn read_begin(&self) -> Result<u64, ()> {
@@ -101,7 +101,7 @@ impl SeqLock {
 
     /// Upgrade the optimistic read at version `v` to an exclusive write
     /// lock. Success doubles as validation: nothing changed since `v` was
-    /// observed, and the node is now locked (version `v + 1`, odd).
+    /// observed, and the lock is now held (version `v + 1`, odd).
     #[inline]
     pub fn try_lock(&self, v: u64) -> Option<WriteGuard<'_>> {
         debug_assert_eq!(v & 1, 0, "cannot lock from a locked snapshot");
@@ -124,7 +124,7 @@ impl SeqLock {
     }
 }
 
-/// Exclusive write access to one node; unlocks (to version `v + 2`) on
+/// Exclusive write access to the guarded payload; unlocks (to version `v + 2`) on
 /// drop, so the lock is released even if the holder unwinds.
 pub struct WriteGuard<'a> {
     lock: &'a SeqLock,

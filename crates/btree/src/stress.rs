@@ -1,32 +1,28 @@
-//! Seeded yield-injection scheduler shim for the concurrent tree layer.
+//! The seeded yield injector that drives the [`sched`](crate::sched)
+//! hooks, re-exported as `sched::YieldInjector`.
 //!
 //! Real-thread interleavings cannot be replayed exactly, but they can be
-//! *forced wider*: [`YieldInjector`] installs a
-//! [`reservoir_btree::sched`] hook whose per-thread pseudo-random
-//! decision streams (splitmix over a master seed) yield, and occasionally
-//! sleep, at the protocol's instrumentation points. A yield between a
-//! node read and its validation stretches the read-validate race window;
-//! a sleep right after `LockAcquired` (the *aggressive* profile) parks a
+//! *forced wider*: [`YieldInjector`] installs a hook whose per-thread
+//! pseudo-random decision streams (splitmix over a master seed) yield,
+//! and occasionally sleep, at the instrumentation points. A yield between
+//! a read and its validation stretches the read-validate race window; a
+//! sleep right after `LockAcquired` (the *aggressive* profile) parks a
 //! writer mid-critical-section long enough that every optimistic reader
-//! of that node exhausts its bounded spin and takes the conflict path —
-//! which is how the stress suites force retry storms and
-//! split-during-descend interleavings on demand, and why they can assert
-//! `retries > 0` instead of hoping for contention.
+//! of that lock exhausts its bounded spin and takes the conflict path —
+//! which is how the snapshot stress suites force torn-read attempts on
+//! demand instead of hoping for contention.
 //!
 //! Decisions are a pure function of `(master seed, thread registration
 //! order, event sequence)`: reruns under one seed explore closely related
 //! interleavings, and failures print the seed (`RESERVOIR_TEST_SEED`
-//! reproduces/varies the whole sweep). The hook registry is
-//! process-global, so the guard also holds
-//! [`reservoir_btree::sched::hook_test_guard`] for its lifetime —
-//! installing an injector serializes stress tests automatically.
+//! reproduces/varies the whole sweep).
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, MutexGuard};
 use std::time::Duration;
 
-use reservoir_btree::sched::{self, SchedEvent};
+use crate::sched::{hook_test_guard, set_hook, Hook, SchedEvent};
 
 /// Probability denominators, in events: one yield roughly every `YIELD_1_IN`
 /// events, one short sleep roughly every `SLEEP_1_IN`.
@@ -46,7 +42,7 @@ fn splitmix(x: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// A scheduler shim forcing adversarial interleavings; see module docs.
+/// A scheduler shim forcing adversarial interleavings; see the module docs.
 pub struct YieldInjector {
     seed: u64,
     /// Hand each hooked thread its own decision stream, in registration
@@ -75,7 +71,7 @@ impl YieldInjector {
     }
 
     fn install_profile(seed: u64, aggressive: bool) -> YieldGuard {
-        let serial = sched::hook_test_guard();
+        let serial = hook_test_guard();
         let injector = Arc::new(YieldInjector {
             seed,
             next_thread: AtomicU64::new(0),
@@ -84,7 +80,7 @@ impl YieldInjector {
             injected: AtomicU64::new(0),
         });
         let hooked = injector.clone();
-        let prev = sched::set_hook(Some(Arc::new(move |ev| hooked.on_event(ev))));
+        let prev = set_hook(Some(Arc::new(move |ev| hooked.on_event(ev))));
         YieldGuard {
             injector,
             prev: Some(prev),
@@ -135,7 +131,7 @@ impl YieldInjector {
 /// lock for its lifetime.
 pub struct YieldGuard {
     injector: Arc<YieldInjector>,
-    prev: Option<Option<sched::Hook>>,
+    prev: Option<Option<Hook>>,
     _serial: MutexGuard<'static, ()>,
 }
 
@@ -153,56 +149,68 @@ impl YieldGuard {
 
 impl Drop for YieldGuard {
     fn drop(&mut self) {
-        sched::set_hook(self.prev.take().unwrap_or(None));
+        set_hook(self.prev.take().unwrap_or(None));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use reservoir_btree::{OlcTree, SampleKey};
+    use crate::SeqLock;
+    use std::sync::atomic::AtomicBool;
 
     #[test]
     fn injector_fires_and_uninstalls() {
-        let tree = OlcTree::new();
-        {
-            let guard = YieldInjector::install(0xA5A5);
-            for i in 0..200u64 {
-                tree.insert(SampleKey::new(1.0 + i as f64, i), 1.0);
+        let lock = SeqLock::new();
+        let cycle = || {
+            for _ in 0..200 {
+                let v = lock.read_begin().expect("no writer");
+                drop(lock.try_lock(v).expect("uncontended upgrade"));
             }
-            assert!(guard.events() > 0, "hooks must fire while installed");
-        }
-        let before = {
-            let guard = YieldInjector::install(0x5A5A);
-            guard.events()
         };
-        // After the guard dropped, inserts no longer reach any hook.
-        tree.insert(SampleKey::new(0.5, 999), 1.0);
-        assert_eq!(before, 0, "fresh injector starts at zero events");
-        tree.check_consistency().unwrap();
+        let injector = {
+            let guard = YieldInjector::install(0xA5A5);
+            cycle();
+            assert!(guard.events() > 0, "hooks must fire while installed");
+            Arc::clone(&guard.injector)
+        };
+        let seen = injector.events.load(Ordering::Relaxed);
+        cycle();
+        assert_eq!(
+            injector.events.load(Ordering::Relaxed),
+            seen,
+            "an uninstalled injector must see no events"
+        );
     }
 
     #[test]
     fn aggressive_profile_forces_retries() {
-        let tree = OlcTree::new();
+        // A writer parked inside `LockAcquired` must outlast a concurrent
+        // reader's bounded spin at least once, so some `read_begin`
+        // reports the conflict instead of returning a version.
+        let lock = SeqLock::new();
         let _guard = YieldInjector::install_aggressive(0xBEEF);
+        let conflicts = AtomicU64::new(0);
+        let writing = AtomicBool::new(true);
         std::thread::scope(|s| {
-            for t in 0..4u64 {
-                let tree = &tree;
-                s.spawn(move || {
-                    for i in 0..300u64 {
-                        let id = t * 1_000 + i;
-                        // Same narrow key band on purpose: all threads
-                        // hammer the same few nodes.
-                        tree.insert(SampleKey::new((id % 13) as f64 + id as f64 * 1e-9, id), 1.0);
+            s.spawn(|| {
+                for _ in 0..300 {
+                    if let Ok(v) = lock.read_begin() {
+                        drop(lock.try_lock(v));
                     }
-                });
-            }
+                }
+                writing.store(false, Ordering::Relaxed);
+            });
+            s.spawn(|| {
+                while writing.load(Ordering::Relaxed) {
+                    if lock.read_begin().is_err() {
+                        conflicts.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+            });
         });
-        tree.check_consistency().unwrap();
-        assert_eq!(tree.len(), 1_200);
         assert!(
-            tree.stats().retries > 0,
+            conflicts.load(Ordering::Relaxed) > 0,
             "held locks must force bounded-spin conflicts"
         );
     }

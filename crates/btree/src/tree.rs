@@ -106,6 +106,11 @@ impl<K: Ord + Clone, V> BPlusTree<K, V> {
         self.root.size()
     }
 
+    /// Levels below the root: 0 while the root is a leaf. O(log n).
+    pub fn height(&self) -> usize {
+        self.root.height()
+    }
+
     /// Whether the tree holds no entries.
     #[inline]
     pub fn is_empty(&self) -> bool {

@@ -48,10 +48,6 @@ pub struct ScanStats {
     /// persistent crew (`DistConfig::with_persistent_pool`), which is
     /// exactly the saving the persistent option buys.
     pub spawns: u64,
-    /// Seqlock conflicts the concurrent merge mode's shared tree retried
-    /// during this scan (`MergeMode::Concurrent` only; 0 on the
-    /// sequential and epilogue paths).
-    pub retries: u64,
 }
 
 /// A PE's local reservoir over the augmented B+ tree.
@@ -393,123 +389,57 @@ pub(crate) struct ScanOutcome {
     pub par: Option<reservoir_par::ParScanStats>,
 }
 
-/// A PE's local reservoir behind the `threads_per_pe` and `merge` knobs:
-/// the sequential [`LocalReservoir`] at one thread, `reservoir_par`'s
-/// chunked work-stealing scan above that, and the shared concurrent tree
-/// (`reservoir_par::ConcurrentReservoir`) when
-/// `MergeMode::Concurrent` is selected — at *any* thread count, so a
-/// single-threaded concurrent baseline exists for the no-regression
-/// guard. All three realize the identical sampling law (the paper's
-/// Section 4 regimes); only the scan/merge schedule differs.
+/// A PE's local reservoir behind the `threads_per_pe` knob: the
+/// sequential [`LocalReservoir`] at one thread, `reservoir_par`'s chunked
+/// work-stealing scan above that. Both realize the identical sampling law
+/// (the paper's Section 4 regimes) over the same `Box`-node B+ tree; only
+/// the scan schedule differs.
 pub(crate) enum PeReservoir {
-    /// `threads_per_pe == 1` (epilogue merge): the classic sequential jump
-    /// scan, drawing from the caller's key RNG.
+    /// `threads_per_pe == 1`: the classic sequential jump scan, drawing
+    /// from the caller's key RNG.
     Seq(LocalReservoir),
-    /// `threads_per_pe > 1` (epilogue merge): chunked parallel scans with
-    /// per-chunk RNG streams rooted at the PE's dedicated parallel-scan
-    /// seed, merged by a sequential epilogue.
+    /// `threads_per_pe > 1`: chunked parallel scans with per-chunk RNG
+    /// streams rooted at the PE's dedicated parallel-scan seed, merged by
+    /// a sequential epilogue.
     Par(reservoir_par::ParLocalReservoir),
-    /// `MergeMode::Concurrent`: the same chunked scans inserting directly
-    /// into one shared optimistic-lock-coupling tree.
-    Conc(reservoir_par::ConcurrentReservoir),
 }
 
 impl PeReservoir {
-    /// Build the reservoir for `threads` workers. `par_seed` roots the
-    /// parallel paths' per-chunk streams (unused sequentially);
-    /// `persistent` keeps one worker crew alive across batches instead of
-    /// spawning helpers per scan (`reservoir_par::Pool::persistent`);
-    /// `merge` selects buffered-epilogue vs shared-tree candidate merging.
-    /// `node_pool` (optional) shares a page-granular allocator with other
-    /// reservoirs' concurrent trees — the shard-fleet storage lever.
-    /// `None` keeps each tree's private pool. `leaf_affinity` selects
-    /// key-ordered micro-batched inserts on the concurrent path. The
-    /// Seq/Par arms use the `Box`-node sequential tree and ignore both.
-    #[allow(clippy::too_many_arguments)] // one knob per parameter; config-shaped callers use for_config_pooled
-    pub fn new(
-        cap: usize,
-        degree: usize,
-        threads: usize,
-        par_seed: u64,
-        persistent: bool,
-        merge: crate::dist::MergeMode,
-        leaf_affinity: bool,
-        node_pool: Option<std::sync::Arc<reservoir_btree::NodePool>>,
-    ) -> Self {
-        if merge == crate::dist::MergeMode::Concurrent {
-            let mut conc = match node_pool {
-                Some(pool) => {
-                    reservoir_par::ConcurrentReservoir::new_in_pool(cap, threads, par_seed, pool)
-                }
-                None => reservoir_par::ConcurrentReservoir::new(cap, threads, par_seed),
-            }
-            .with_leaf_affinity(leaf_affinity);
-            if persistent {
-                conc = conc.with_pool(reservoir_par::Pool::persistent(threads));
-            }
-            return PeReservoir::Conc(conc);
-        }
-        if threads <= 1 {
-            PeReservoir::Seq(LocalReservoir::new(cap, degree))
-        } else {
-            let mut par = reservoir_par::ParLocalReservoir::new(cap, degree, threads, par_seed);
-            if persistent {
-                par = par.with_pool(reservoir_par::Pool::persistent(threads));
-            }
-            PeReservoir::Par(par)
-        }
-    }
-
-    /// Build from a [`DistConfig`]'s scan knobs (`threads_per_pe`,
-    /// `persistent_pool`, `merge`) with capacity `cap`.
+    /// Build from a [`DistConfig`](crate::dist::DistConfig)'s scan knobs
+    /// with capacity `cap`. `par_seed` roots the parallel path's
+    /// per-chunk streams (unused sequentially); `persistent_pool` keeps
+    /// one worker crew alive across batches instead of spawning helpers
+    /// per scan (`reservoir_par::Pool::persistent`).
     pub fn for_config(cfg: &crate::dist::DistConfig, cap: usize, par_seed: u64) -> Self {
-        Self::for_config_pooled(cfg, cap, par_seed, None)
+        let degree = reservoir_btree::DEFAULT_DEGREE;
+        let threads = cfg.threads_per_pe;
+        if threads <= 1 {
+            return PeReservoir::Seq(LocalReservoir::new(cap, degree));
+        }
+        let mut par = reservoir_par::ParLocalReservoir::new(cap, degree, threads, par_seed);
+        if cfg.persistent_pool {
+            par = par.with_pool(reservoir_par::Pool::persistent(threads));
+        }
+        PeReservoir::Par(par)
     }
 
-    /// [`Self::for_config`] with an optional shared node pool (see
-    /// [`Self::new`]).
-    pub fn for_config_pooled(
-        cfg: &crate::dist::DistConfig,
-        cap: usize,
-        par_seed: u64,
-        node_pool: Option<std::sync::Arc<reservoir_btree::NodePool>>,
-    ) -> Self {
-        Self::new(
-            cap,
-            reservoir_btree::DEFAULT_DEGREE,
-            cfg.threads_per_pe,
-            par_seed,
-            cfg.persistent_pool,
-            cfg.merge,
-            cfg.leaf_affinity,
-            node_pool,
-        )
+    /// The local tree: the candidate set the distributed selection runs
+    /// over.
+    pub fn tree(&self) -> &BPlusTree<SampleKey, f64> {
+        match self {
+            PeReservoir::Seq(r) => r.tree(),
+            PeReservoir::Par(r) => r.tree(),
+        }
     }
 
     /// Number of entries currently held.
     pub fn len(&self) -> u64 {
-        match self {
-            PeReservoir::Seq(r) => r.len(),
-            PeReservoir::Par(r) => r.len(),
-            PeReservoir::Conc(r) => r.len(),
-        }
-    }
-
-    /// The local candidate set the distributed selection runs over. The
-    /// concurrent tree's subtree sizes are refreshed at the end of every
-    /// `process` call, so its rank queries are valid in the protocol's
-    /// sequential phases — exactly where selection runs.
-    pub fn candidates(&self) -> &dyn reservoir_select::CandidateSet {
-        match self {
-            PeReservoir::Seq(r) => r.tree(),
-            PeReservoir::Par(r) => r.tree(),
-            PeReservoir::Conc(r) => r.tree(),
-        }
+        self.tree().len() as u64
     }
 
     /// Number of keys at or below `t`.
     pub fn count_le(&self, t: &SampleKey) -> u64 {
-        reservoir_select::CandidateSet::count_le(self.candidates(), t)
+        self.tree().count_le(t) as u64
     }
 
     /// Drop every entry with a key strictly above `t`.
@@ -517,7 +447,6 @@ impl PeReservoir {
         match self {
             PeReservoir::Seq(r) => r.prune_above(t),
             PeReservoir::Par(r) => r.prune_above(t),
-            PeReservoir::Conc(r) => r.prune_above(t),
         }
     }
 
@@ -530,22 +459,11 @@ impl PeReservoir {
 
     /// Write the entries with keys at or below `t` (`None` = all) into
     /// `buf` (cleared first), reusing its allocation — the output
-    /// extraction. All arms emit in ascending key order, so the extract
-    /// paths cannot diverge, and none copies an entry above `t`: the
-    /// sequential trees stop their leaf walk at the first key past it.
+    /// extraction. The leaf walk emits in ascending key order and stops at
+    /// the first key past `t`, so no entry above it is copied.
     pub fn items_le_into(&self, t: Option<&SampleKey>, buf: &mut Vec<SampleItem>) {
         buf.clear();
-        match self {
-            PeReservoir::Seq(r) => extend_le(r.tree(), t, buf),
-            PeReservoir::Par(r) => extend_le(r.tree(), t, buf),
-            // The concurrent tree's walk cannot stop early; it skips the
-            // tail instead of copying it.
-            PeReservoir::Conc(r) => r.tree().for_each(|k, w| {
-                if t.is_none_or(|t| k <= t) {
-                    buf.push(SampleItem::from_entry(k, w));
-                }
-            }),
-        }
+        extend_le(self.tree(), t, buf);
     }
 
     /// Move all entries into `buf` (cleared first), reusing its allocation.
@@ -554,7 +472,6 @@ impl PeReservoir {
         match self {
             PeReservoir::Seq(r) => r.clear(),
             PeReservoir::Par(r) => r.clear(),
-            PeReservoir::Conc(r) => r.clear(),
         }
     }
 
@@ -587,13 +504,6 @@ impl PeReservoir {
                 };
                 Self::par_outcome(par)
             }
-            PeReservoir::Conc(r) => {
-                let par = match mode {
-                    SamplingMode::Weighted => r.process_weighted(items, threshold),
-                    SamplingMode::Uniform => r.process_uniform(items, threshold),
-                };
-                Self::par_outcome(par)
-            }
         }
     }
 
@@ -601,14 +511,12 @@ impl PeReservoir {
     /// sparse-batch fast path, which skips the scan (and the engine step)
     /// for shards whose bucket is empty fleet-wide. Equivalent to
     /// `process` on an empty slice: the sequential scan draws nothing on
-    /// an empty batch, and the parallel paths only advance their batch
+    /// an empty batch, and the parallel path only advances its batch
     /// counter (which roots the per-chunk RNG streams), so the sampling
     /// trajectory stays byte-identical to processing the empty bucket.
     pub fn skip_batch(&mut self) {
-        match self {
-            PeReservoir::Seq(_) => {}
-            PeReservoir::Par(r) => r.note_empty_batch(),
-            PeReservoir::Conc(r) => r.note_empty_batch(),
+        if let PeReservoir::Par(r) = self {
+            r.note_empty_batch();
         }
     }
 
@@ -621,7 +529,6 @@ impl PeReservoir {
                 chunks: par.chunks,
                 steals: par.steals,
                 spawns: par.spawns,
-                retries: par.retries,
             },
             par_scan_max_s: par.max_worker_scan_s(),
             par: Some(par),

@@ -76,34 +76,13 @@ fn parse_threads(v: &str) -> Result<usize, String> {
     }
 }
 
-/// How a parallel local scan's surviving candidates reach the reservoir
-/// tree. Both modes draw the identical per-`(seed, batch, chunk)` RNG
-/// streams, so the fixed-seed sample is the same either way — only the
-/// merge schedule (and its scaling behaviour) differs.
+/// Retired and inert; the frozen benchmark harness is its only user
+/// (`tests/engine_equivalence.rs` checks that its pin changes no sample).
+#[doc(hidden)]
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum MergeMode {
-    /// Buffer candidates per chunk; one sequential epilogue merges them
-    /// into the B+ tree after the scan scope joins (PR 4's scheme; the
-    /// sequential scan at `threads_per_pe == 1`).
     #[default]
     Epilogue,
-    /// Scan workers insert candidates directly into one shared concurrent
-    /// tree (`reservoir_par::ConcurrentReservoir` over seqlock-based
-    /// optimistic lock coupling) — no sequential merge. Selected at *any*
-    /// thread count so a single-threaded concurrent baseline exists.
-    Concurrent,
-}
-
-/// Parse a `RESERVOIR_MERGE` value: `epilogue` | `concurrent`,
-/// case-insensitive, surrounding whitespace tolerated.
-fn parse_merge(v: &str) -> Result<MergeMode, String> {
-    match v.trim().to_ascii_lowercase().as_str() {
-        "epilogue" => Ok(MergeMode::Epilogue),
-        "concurrent" => Ok(MergeMode::Concurrent),
-        _ => Err(format!(
-            "RESERVOIR_MERGE accepts 'epilogue' or 'concurrent', got {v:?}"
-        )),
-    }
 }
 
 /// Whether the engine publishes an always-fresh [`snapshot::SampleEpoch`]
@@ -139,28 +118,16 @@ fn parse_continuous(v: &str) -> Result<ContinuousMode, String> {
     }
 }
 
-/// Continuous mode when the configuration does not say otherwise: the
-/// `RESERVOIR_CONTINUOUS` environment variable, or
-/// [`ContinuousMode::Disabled`]. The CI snapshot-stress job sets
-/// `RESERVOIR_CONTINUOUS=1` to run the whole suite with per-batch
-/// publication on.
-fn default_continuous() -> ContinuousMode {
-    match std::env::var("RESERVOIR_CONTINUOUS") {
-        Ok(v) => parse_continuous(&v).unwrap_or_else(|e| panic!("{e}")),
-        Err(_) => ContinuousMode::Disabled,
-    }
-}
-
 /// Read every sampler environment default in one validated pass:
 /// `RESERVOIR_THREADS` (the CI matrix sets 4 to run the suite down the
-/// parallel scan path), `RESERVOIR_MERGE` (the stress job sets
-/// `concurrent`), `RESERVOIR_CONTINUOUS`, and `RESERVOIR_OBS` (arms the
-/// `reservoir_obs` metrics registry and flight recorder; the CI obs job
-/// sets 1). All malformed variables are reported in a single panic
-/// message — a user with two typos fixes both on the first round trip —
-/// and validation happens once, at config construction, not on some
-/// later batch.
-fn env_defaults() -> (usize, MergeMode, ContinuousMode) {
+/// parallel scan path), `RESERVOIR_CONTINUOUS` (the snapshot-stress job
+/// sets 1), and `RESERVOIR_OBS` (arms the `reservoir_obs` metrics registry
+/// and flight recorder; the CI obs job sets 1). All malformed variables
+/// are reported in a single panic message — a user with two typos fixes
+/// both on the first round trip — and validation happens once, at config
+/// construction, not on some later batch. Both `DistConfig` and
+/// `sim::SimConfig` take their defaults from here.
+fn env_defaults() -> (usize, ContinuousMode) {
     let mut errors = Vec::new();
     // First touch wins for the gate itself (a programmatic
     // `reservoir_obs::set_enabled` is never overridden), but a malformed
@@ -175,13 +142,6 @@ fn env_defaults() -> (usize, MergeMode, ContinuousMode) {
         }),
         Err(_) => 1,
     };
-    let merge = match std::env::var("RESERVOIR_MERGE") {
-        Ok(v) => parse_merge(&v).unwrap_or_else(|e| {
-            errors.push(e);
-            MergeMode::Epilogue
-        }),
-        Err(_) => MergeMode::Epilogue,
-    };
     let continuous = match std::env::var("RESERVOIR_CONTINUOUS") {
         Ok(v) => parse_continuous(&v).unwrap_or_else(|e| {
             errors.push(e);
@@ -194,7 +154,7 @@ fn env_defaults() -> (usize, MergeMode, ContinuousMode) {
         "invalid sampler environment: {}",
         errors.join("; ")
     );
-    (threads, merge, continuous)
+    (threads, continuous)
 }
 
 /// Configuration shared by the distributed samplers.
@@ -223,24 +183,17 @@ pub struct DistConfig {
     /// per-helper spawn cost. No effect at `threads_per_pe == 1`; the
     /// sample is identical either way (see `ScanStats::spawns`).
     pub persistent_pool: bool,
-    /// How scan candidates are merged into the local reservoir tree:
-    /// buffered + sequential epilogue, or direct concurrent insertion into
-    /// a shared tree. Constructors default this to the `RESERVOIR_MERGE`
-    /// environment variable, falling back to [`MergeMode::Epilogue`]. The
-    /// fixed-seed sample is identical in both modes.
-    pub merge: MergeMode,
     /// Whether the engine publishes an always-fresh sample epoch per
     /// batch step for concurrent snapshot readers. Constructors default
     /// this to the `RESERVOIR_CONTINUOUS` environment variable, falling
     /// back to [`ContinuousMode::Disabled`]. The fixed-seed final sample
     /// is identical in both modes.
     pub continuous: ContinuousMode,
-    /// Contention-aware insertion on the concurrent merge path
-    /// ([`MergeMode::Concurrent`] only): scan workers micro-batch their
-    /// candidates and insert them in key order, so consecutive inserts
-    /// descend to the same leaf and optimistic restarts drop. Defaults
-    /// to `true`; the candidate *set* is unchanged (only its insertion
-    /// order), so the fixed-seed sample is identical either way.
+    /// Retired and inert; the frozen benchmark harness is its only user.
+    #[doc(hidden)]
+    pub merge: MergeMode,
+    /// Retired and inert; the frozen benchmark harness is its only user.
+    #[doc(hidden)]
     pub leaf_affinity: bool,
 }
 
@@ -248,7 +201,19 @@ impl DistConfig {
     /// Weighted sampling with sample size `k`.
     pub fn weighted(k: usize, seed: u64) -> Self {
         assert!(k >= 1, "sample size must be at least 1");
-        let (threads_per_pe, merge, continuous) = env_defaults();
+        let (threads_per_pe, continuous) = env_defaults();
+        Self::base(k, seed, threads_per_pe, continuous)
+    }
+
+    /// Weighted sampling of size `k` on `threads_per_pe` scan workers with
+    /// every other knob at its default; reads no environment (the
+    /// simulator derives its engine configuration through this).
+    pub(crate) fn base(
+        k: usize,
+        seed: u64,
+        threads_per_pe: usize,
+        continuous: ContinuousMode,
+    ) -> Self {
         DistConfig {
             k,
             seed,
@@ -257,8 +222,8 @@ impl DistConfig {
             size_window: None,
             threads_per_pe,
             persistent_pool: false,
-            merge,
             continuous,
+            merge: Default::default(),
             leaf_affinity: true,
         }
     }
@@ -293,8 +258,9 @@ impl DistConfig {
         self
     }
 
-    /// Merge scan candidates through the given [`MergeMode`] (overrides
-    /// the `RESERVOIR_MERGE` default).
+    /// Retired and inert; the frozen benchmark harness is its only user
+    /// (`tests/engine_equivalence.rs` checks that its pin changes no sample).
+    #[doc(hidden)]
     pub fn with_merge(mut self, merge: MergeMode) -> Self {
         self.merge = merge;
         self
@@ -307,9 +273,9 @@ impl DistConfig {
         self
     }
 
-    /// Toggle contention-aware (key-ordered, micro-batched) insertion on
-    /// the concurrent merge path. On by default; off reverts to
-    /// arrival-order inserts. The sample is identical either way.
+    /// Retired and inert; the frozen benchmark harness is its only user
+    /// (`tests/engine_equivalence.rs` checks that its pin changes no sample).
+    #[doc(hidden)]
     pub fn with_leaf_affinity(mut self, on: bool) -> Self {
         self.leaf_affinity = on;
         self
@@ -438,15 +404,7 @@ mod tests {
         assert!(!t.persistent_pool);
         let p = t.with_persistent_pool(true);
         assert!(p.persistent_pool);
-        let c = p.with_merge(MergeMode::Concurrent);
-        assert_eq!(c.merge, MergeMode::Concurrent);
-        assert_eq!(
-            DistConfig::weighted(10, 1)
-                .with_merge(MergeMode::Epilogue)
-                .merge,
-            MergeMode::Epilogue
-        );
-        let s = c.with_continuous(ContinuousMode::EveryBatch);
+        let s = p.with_continuous(ContinuousMode::EveryBatch);
         assert_eq!(s.continuous, ContinuousMode::EveryBatch);
         assert_eq!(
             s.with_continuous(ContinuousMode::Disabled).continuous,
@@ -490,24 +448,6 @@ mod tests {
                 e.contains("RESERVOIR_THREADS") && e.contains("positive integer"),
                 "error for {bad:?} must name the variable and the accepted \
                  form, got {e:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn parse_merge_is_case_insensitive_and_trimmed() {
-        assert_eq!(parse_merge("epilogue"), Ok(MergeMode::Epilogue));
-        assert_eq!(parse_merge("Concurrent"), Ok(MergeMode::Concurrent));
-        assert_eq!(parse_merge(" EPILOGUE\t"), Ok(MergeMode::Epilogue));
-    }
-
-    #[test]
-    fn parse_merge_rejects_junk_with_all_accepted_values_named() {
-        for bad in ["", "  ", "eplogue", "shared", "2"] {
-            let e = parse_merge(bad).unwrap_err();
-            assert!(
-                e.contains("RESERVOIR_MERGE") && e.contains("epilogue") && e.contains("concurrent"),
-                "error for {bad:?} must name every accepted value, got {e:?}"
             );
         }
     }

@@ -38,10 +38,6 @@ pub(crate) static SCAN_SPAWNS: LazyCounter = LazyCounter::new(
     "scan_spawns_total",
     "OS threads spawned for batch scans (0 with a persistent crew)",
 );
-pub(crate) static SCAN_RETRIES: LazyCounter = LazyCounter::new(
-    "scan_retries_total",
-    "seqlock conflicts retried by concurrent-merge scans",
-);
 pub(crate) static SCAN_INSERTED: LazyCounter = LazyCounter::new(
     "scan_inserted_total",
     "items that entered a local reservoir during scans",
@@ -105,7 +101,6 @@ pub(crate) fn record_step(
     SCAN_CHUNKS.add(stats.chunks);
     SCAN_STEALS.add(stats.steals);
     SCAN_SPAWNS.add(stats.spawns);
-    SCAN_RETRIES.add(stats.retries);
     SCAN_INSERTED.add(stats.inserted);
     record_phases(times);
     trace::emit(pe, TraceKind::BatchEnd, seq, union);

@@ -9,9 +9,9 @@
 //! [`ShardedSampler`] collapses that to a **batched schedule**:
 //!
 //! 1. **route + scan** — each record goes to its shard's
-//!    [`PeReservoir`] (sequential, parallel, or concurrent local scan —
-//!    each shard is a full per-PE reservoir) below that shard's own
-//!    threshold. Local, no communication.
+//!    [`PeReservoir`] (sequential or parallel local scan — each shard is
+//!    a full per-PE reservoir) below that shard's own threshold. Local,
+//!    no communication.
 //! 2. **batched count** — ONE vectorized all-reduce
 //!    (`sum_u64_vec` over the `S`-entry vector of per-shard local
 //!    sizes) replaces S scalar count rounds.
@@ -45,15 +45,12 @@
 //! (`tests/sharded.rs` pins this, and the χ² suites pin the law).
 
 use std::sync::mpsc::Receiver;
-use std::sync::Arc;
 use std::time::Instant;
 
-use reservoir_btree::{NodePool, SampleKey};
+use reservoir_btree::{BPlusTree, SampleKey};
 use reservoir_comm::{Collectives, Communicator};
 use reservoir_rng::{DefaultRng, StreamKind};
-use reservoir_select::{
-    select_threaded_many, CandidateSet, SelectParams, SelectResult, TargetRank,
-};
+use reservoir_select::{select_threaded_many, SelectParams, SelectResult, TargetRank};
 use reservoir_stream::ingest::MiniBatch;
 use reservoir_stream::{Item, ShardRouter};
 
@@ -86,9 +83,7 @@ static SHARDED_SPARSE_SKIPS: LazyCounter = LazyCounter::new(
 use crate::dist::output::SampleHandle;
 use crate::dist::snapshot::SnapshotReader;
 use crate::dist::threaded::stream_seq;
-use crate::dist::{
-    BatchReport, ContinuousMode, DistConfig, MergeMode, SamplingMode, PAR_SCAN_STREAM,
-};
+use crate::dist::{BatchReport, ContinuousMode, DistConfig, SamplingMode, PAR_SCAN_STREAM};
 use crate::metrics::PhaseTimes;
 use crate::sample::SampleItem;
 
@@ -153,14 +148,13 @@ pub struct ShardEndpoint<'a, C: Communicator> {
 }
 
 impl<'a, C: Communicator> ShardEndpoint<'a, C> {
-    fn new(comm: &'a C, cfg: &DistConfig, node_pool: Option<Arc<NodePool>>) -> Self {
+    fn new(comm: &'a C, cfg: &DistConfig) -> Self {
         let seq = stream_seq(cfg);
         ShardEndpoint {
-            local: PeReservoir::for_config_pooled(
+            local: PeReservoir::for_config(
                 cfg,
                 cfg.local_cap(),
                 seq.seed_for(comm.rank(), StreamKind::Custom(PAR_SCAN_STREAM)),
-                node_pool,
             ),
             key_rng: seq.rng_for(comm.rank(), StreamKind::Keys),
             select_rng: seq.rng_for(comm.rank(), StreamKind::Selection),
@@ -379,11 +373,6 @@ pub struct ShardedPipelineReport {
 pub struct ShardedSampler<'a, C: Communicator> {
     comm: &'a C,
     engines: Vec<ReservoirProtocol<ShardEndpoint<'a, C>>>,
-    /// One page-granular node pool shared by every shard's concurrent
-    /// tree on this PE (`MergeMode::Concurrent` only): fleet
-    /// construction costs O(pages) heap allocations instead of one
-    /// arena per shard, and pruned shards recycle slots to growing ones.
-    node_pool: Option<Arc<NodePool>>,
     /// Skip scan/plan/step for shards whose bucket is empty fleet-wide
     /// (on by default; [`Self::with_sparse_skip`]).
     sparse_skip: bool,
@@ -398,26 +387,18 @@ impl<'a, C: Communicator> ShardedSampler<'a, C> {
             cfg.size_window.is_none() || cfg.continuous == ContinuousMode::Disabled,
             "sharded sampling supports a size window or continuous snapshots, not both"
         );
-        // Under the concurrent merge every shard's tree borrows node
-        // slots from one shared pool; the epilogue-merge arms use the
-        // Box-node sequential tree, which has no pool to share.
-        let node_pool = (cfg.merge == MergeMode::Concurrent).then(|| Arc::new(NodePool::new()));
         let engines = (0..shards)
             .map(|s| {
                 let shard_cfg = DistConfig {
                     seed: shard_seed(cfg.seed, s),
                     ..cfg
                 };
-                ReservoirProtocol::new(
-                    ShardEndpoint::new(comm, &shard_cfg, node_pool.clone()),
-                    shard_cfg,
-                )
+                ReservoirProtocol::new(ShardEndpoint::new(comm, &shard_cfg), shard_cfg)
             })
             .collect();
         ShardedSampler {
             comm,
             engines,
-            node_pool,
             sparse_skip: true,
         }
     }
@@ -430,13 +411,6 @@ impl<'a, C: Communicator> ShardedSampler<'a, C> {
     pub fn with_sparse_skip(mut self, on: bool) -> Self {
         self.sparse_skip = on;
         self
-    }
-
-    /// The node pool every shard's concurrent tree draws from on this PE
-    /// (`None` under the epilogue merge modes, whose sequential trees
-    /// own their nodes directly).
-    pub fn node_pool(&self) -> Option<&Arc<NodePool>> {
-        self.node_pool.as_ref()
     }
 
     /// Number of shards in the fleet.
@@ -550,9 +524,9 @@ impl<'a, C: Communicator> ShardedSampler<'a, C> {
                 .map(|&s| self.engines[s].backend().select_rng.clone())
                 .collect();
             let outcome = {
-                let sets: Vec<&dyn CandidateSet> = active
+                let sets: Vec<&BPlusTree<SampleKey, f64>> = active
                     .iter()
-                    .map(|&s| self.engines[s].backend().local.candidates())
+                    .map(|&s| self.engines[s].backend().local.tree())
                     .collect();
                 select_threaded_many(
                     self.comm,
@@ -698,9 +672,9 @@ impl<'a, C: Communicator> ShardedSampler<'a, C> {
                 .map(|&s| self.engines[s].backend().select_rng.clone())
                 .collect();
             let outcome = {
-                let sets: Vec<&dyn CandidateSet> = need
+                let sets: Vec<&BPlusTree<SampleKey, f64>> = need
                     .iter()
-                    .map(|&s| self.engines[s].backend().local.candidates())
+                    .map(|&s| self.engines[s].backend().local.tree())
                     .collect();
                 select_threaded_many(
                     self.comm,

@@ -208,6 +208,10 @@ impl SimConfig {
         algo: SimAlgo,
         seed: u64,
     ) -> Self {
+        // Only the continuous default comes from the environment: the
+        // modeled scan width stays 1 unless `with_threads` says otherwise,
+        // so the cost goldens do not follow `RESERVOIR_THREADS`.
+        let (_, continuous) = super::env_defaults();
         SimConfig {
             p,
             k,
@@ -217,7 +221,7 @@ impl SimConfig {
             seed,
             threads_per_pe: 1,
             size_window: None,
-            continuous: super::default_continuous(),
+            continuous,
         }
     }
 
@@ -247,21 +251,13 @@ impl SimConfig {
     /// with: the same `DistConfig` shape the real backends take.
     fn engine_config(&self) -> DistConfig {
         DistConfig {
-            k: self.k,
-            seed: self.seed,
             mode: self.mode,
             pivots: match self.algo {
                 SimAlgo::Ours { pivots } => pivots,
                 SimAlgo::Gather => 1,
             },
             size_window: self.size_window,
-            threads_per_pe: self.threads_per_pe,
-            persistent_pool: false,
-            // The sim models the scan statistically; the merge schedule is
-            // a real-backend concern and does not alter modeled costs.
-            merge: super::MergeMode::Epilogue,
-            continuous: self.continuous,
-            leaf_affinity: true,
+            ..DistConfig::base(self.k, self.seed, self.threads_per_pe, self.continuous)
         }
     }
 

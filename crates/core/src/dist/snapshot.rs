@@ -10,7 +10,7 @@
 //! Section 5 finalize/place path and *publishes* it here as an immutable
 //! [`SampleEpoch`] behind a seqlock-guarded pointer swap.
 //!
-//! The concurrency scheme reuses the PR 6 versioning primitive
+//! The concurrency scheme is a one-word sequence lock
 //! ([`reservoir_btree::SeqLock`]):
 //!
 //! ```text
@@ -36,8 +36,8 @@
 //! extracting that epoch's items from the tree.
 //!
 //! Because the seqlock fires the [`reservoir_btree::sched`] hooks, the
-//! seeded `YieldInjector` used by the OLC stress suite drives genuine
-//! reader/writer interleavings through publication as well.
+//! seeded [`YieldInjector`](reservoir_btree::sched::YieldInjector) drives
+//! genuine reader/writer interleavings through publication.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};

@@ -129,7 +129,7 @@ impl<C: Communicator> SamplerBackend for CommBackend<'_, C> {
         let t0 = Instant::now();
         let res = select_threaded(
             self.comm,
-            self.local.candidates(),
+            self.local.tree(),
             target,
             union,
             SelectParams::with_pivots(pivots),
@@ -425,18 +425,11 @@ mod tests {
         // reservoirs. Each arm's bounded extraction must return exactly the
         // copy-everything-then-truncate reference: the key-sorted prefix at
         // or below the threshold, with everything after it above.
-        use crate::dist::MergeMode;
-        let arms = [
-            (1, MergeMode::Epilogue),
-            (4, MergeMode::Epilogue),
-            (4, MergeMode::Concurrent),
-        ];
-        for (threads, merge) in arms {
+        for threads in [1, 4] {
             let results = run_threads(2, |comm| {
                 let cfg = DistConfig::weighted(25, 13)
                     .with_size_window(25, 60)
-                    .with_threads(threads)
-                    .with_merge(merge);
+                    .with_threads(threads);
                 let mut s = DistributedSampler::new(&comm, cfg);
                 for b in 0..5u64 {
                     s.process_batch(&unit_batch(comm.rank(), b, 200));
@@ -450,7 +443,7 @@ mod tests {
             });
             assert!(
                 results.iter().any(|(_, h, held)| *held > h.local_len()),
-                "{threads} threads, {merge:?}: no PE held members above the cut"
+                "{threads} threads: no PE held members above the cut"
             );
             let mut offset = 0;
             for (reference, handle, _) in &results {

@@ -3,8 +3,8 @@
 //! The paper's evaluation (Sections 5–6.5) is entirely about *accounting*:
 //! per-phase running time and per-collective word counts. This crate turns
 //! the workspace's scattered hand-rolled counters (`PhaseTimes`,
-//! `IngestCounters`, `ScanStats`, OLC retry/split counters, per-report
-//! `collective_calls`) into one always-on, pollable surface:
+//! `IngestCounters`, `ScanStats`, per-report `collective_calls`) into one
+//! always-on, pollable surface:
 //!
 //! * a [`Registry`] of named metrics — atomic [`Counter`]s, f64
 //!   [`Gauge`]s and log2-bucket [`Histogram`]s — registered once by static
@@ -14,8 +14,8 @@
 //! * a bounded **flight recorder** ([`trace::TraceRing`]): a per-PE
 //!   lock-free ring of structured [`TraceEvent`]s (batch start/end,
 //!   collective launches with op + words, selection rounds, epoch
-//!   publications, OLC retry storms, deadline flushes) that a crashed or
-//!   wedged run can dump for post-mortem;
+//!   publications, deadline flushes) that a crashed or wedged run can
+//!   dump for post-mortem;
 //! * exporters — Prometheus text format and JSON — behind a
 //!   [`MetricsReader`] that dashboard threads can poll mid-ingestion with
 //!   the same version-word discipline as `dist::snapshot::SnapshotReader`:
@@ -103,7 +103,7 @@ pub fn enabled() -> bool {
 /// embedders that arm the gate programmatically are not overridden, but
 /// the env value is still *validated* either way: `dist`'s
 /// `env_defaults()` calls this to fold a malformed `RESERVOIR_OBS` into
-/// the same aggregated report as `RESERVOIR_THREADS`/`MERGE`/`CONTINUOUS`.
+/// the same aggregated report as `RESERVOIR_THREADS`/`CONTINUOUS`.
 pub fn init_env() -> Result<bool, String> {
     let parsed = match std::env::var("RESERVOIR_OBS") {
         Ok(v) => parse_obs(&v)?,

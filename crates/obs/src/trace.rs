@@ -16,11 +16,12 @@ use std::time::Instant;
 const RING_CAP: usize = 1024;
 
 /// The `pe` recorded by call sites that run below the PE layer and do not
-/// know their rank (the OLC tree, the ingestion batcher).
+/// know their rank (the ingestion batcher).
 pub const PE_UNRANKED: u32 = u32::MAX;
 
 /// What happened. `a`/`b` payload meaning per kind is documented on each
-/// variant (and mirrored in DESIGN.md's event-schema table).
+/// variant (and mirrored in DESIGN.md's event-schema table). Codes are
+/// stable: a retired kind leaves its number unused (6).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(u8)]
 pub enum TraceKind {
@@ -39,9 +40,6 @@ pub enum TraceKind {
     SelectRound = 4,
     /// A sample epoch published: `a` = epoch number, `b` = sample size.
     EpochPublish = 5,
-    /// An OLC insert needed an unusual number of optimistic retries:
-    /// `a` = retries for that one insert, `b` = tree size (entry count).
-    OlcRetryStorm = 6,
     /// The ingestion batcher cut a batch on deadline rather than size:
     /// `a` = records in the cut batch, `b` = 0.
     DeadlineFlush = 7,
@@ -55,7 +53,6 @@ impl TraceKind {
             3 => TraceKind::Collective,
             4 => TraceKind::SelectRound,
             5 => TraceKind::EpochPublish,
-            6 => TraceKind::OlcRetryStorm,
             7 => TraceKind::DeadlineFlush,
             _ => return None,
         })
@@ -68,7 +65,6 @@ impl TraceKind {
             TraceKind::Collective => "collective",
             TraceKind::SelectRound => "select_round",
             TraceKind::EpochPublish => "epoch_publish",
-            TraceKind::OlcRetryStorm => "olc_retry_storm",
             TraceKind::DeadlineFlush => "deadline_flush",
         }
     }
@@ -301,7 +297,7 @@ mod tests {
     fn jsonl_maps_unranked_to_minus_one() {
         recorder()
             .ring(PE_UNRANKED)
-            .record(TraceKind::OlcRetryStorm, 9, 2);
+            .record(TraceKind::DeadlineFlush, 9, 0);
         assert!(recorder().to_jsonl().contains("\"pe\":-1"));
     }
 }

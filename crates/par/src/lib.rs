@@ -24,26 +24,13 @@
 //!   chunk), filter against a relaxed snapshot of the shared threshold,
 //!   and merge the surviving candidates into the B+ tree in one short
 //!   sequential epilogue that re-prunes against the post-merge threshold.
-//! * [`concurrent`] — [`ConcurrentReservoir`], the shared-tree variant
-//!   (`RESERVOIR_MERGE=concurrent`): the same chunk kernels and RNG
-//!   streams, but workers insert survivors directly into one
-//!   `reservoir_btree::OlcTree` through seqlock-based optimistic lock
-//!   coupling, removing the sequential merge epilogue entirely.
-//! * [`stress`] — [`YieldInjector`], a seeded yield-injection scheduler
-//!   shim over `reservoir_btree::sched` that forces read-validate races,
-//!   split-during-descend interleavings, and retry storms for the
-//!   concurrency stress suites.
 //!
 //! This crate sits below `reservoir-core` (which selects between the
 //! sequential and parallel reservoir behind its `threads_per_pe` knob), so
 //! it only depends on `btree`, `rng` and `stream`.
 
-pub mod concurrent;
 pub mod pool;
 pub mod reservoir;
-pub mod stress;
 
-pub use concurrent::ConcurrentReservoir;
 pub use pool::{chunk_ranges, join, Pool, Scope, ScopeReport};
 pub use reservoir::{ParLocalReservoir, ParScanStats, DEFAULT_CHUNK_ITEMS};
-pub use stress::{YieldGuard, YieldInjector};

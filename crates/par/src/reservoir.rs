@@ -52,12 +52,10 @@ const SCAN_BLOCK: usize = 32;
 /// every thread count under the same seed.
 pub const DEFAULT_CHUNK_ITEMS: usize = 4096;
 
-/// Stream tag for the per-batch seed derivation level. Shared with the
-/// concurrent merge mode: both modes must consume identical streams for
-/// the candidate multiset to be identical.
-pub(crate) const BATCH_STREAM: u16 = 0x7062;
+/// Stream tag for the per-batch seed derivation level.
+const BATCH_STREAM: u16 = 0x7062;
 /// Stream tag for the per-chunk seed derivation level.
-pub(crate) const CHUNK_STREAM: u16 = 0x7063;
+const CHUNK_STREAM: u16 = 0x7063;
 
 /// Work counters and timings for one parallel scan call.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -82,13 +80,8 @@ pub struct ParScanStats {
     /// the calling thread).
     pub worker_scan_s: Vec<f64>,
     /// Seconds of the sequential merge epilogue (tree insertion and the
-    /// growing-mode re-prune). In the concurrent merge mode this is only
-    /// the post-scan re-prune + size refresh — insertion happened inside
-    /// the workers.
+    /// growing-mode re-prune).
     pub merge_s: f64,
-    /// Seqlock conflicts retried by the concurrent merge mode's shared
-    /// tree during this scan (always 0 in epilogue mode).
-    pub retries: u64,
 }
 
 impl ParScanStats {
@@ -99,32 +92,11 @@ impl ParScanStats {
     }
 }
 
-/// Where a threshold-scan kernel puts its survivors: a buffered per-chunk
-/// vector (epilogue merge) or the shared concurrent tree (direct insert).
-/// The kernels draw randomness identically either way, so the sink choice
-/// never changes the candidate multiset.
-pub(crate) trait ScanSink {
-    /// A surviving candidate.
-    fn emit(&mut self, key: SampleKey, weight: f64);
-    /// One skip value was drawn.
-    fn jump(&mut self);
-}
-
 /// Per-chunk scan output, written once by whichever worker ran the chunk.
 #[derive(Default)]
-pub(crate) struct ChunkOut {
-    pub(crate) candidates: Vec<(SampleKey, f64)>,
-    pub(crate) jumps: u64,
-}
-
-impl ScanSink for ChunkOut {
-    fn emit(&mut self, key: SampleKey, weight: f64) {
-        self.candidates.push((key, weight));
-    }
-
-    fn jump(&mut self) {
-        self.jumps += 1;
-    }
+struct ChunkOut {
+    candidates: Vec<(SampleKey, f64)>,
+    jumps: u64,
 }
 
 /// The multicore counterpart of `reservoir_core::dist::LocalReservoir`:
@@ -324,15 +296,10 @@ impl ParLocalReservoir {
 }
 
 /// Fixed-threshold weighted chunk scan: blocked exponential jumps, the
-/// same kernel as the sequential scan but emitting into a [`ScanSink`].
-pub(crate) fn scan_chunk_weighted(
-    items: &[Item],
-    t: f64,
-    rng: &mut DefaultRng,
-    out: &mut impl ScanSink,
-) {
+/// same kernel as the sequential scan but emitting into the chunk buffer.
+fn scan_chunk_weighted(items: &[Item], t: f64, rng: &mut DefaultRng, out: &mut ChunkOut) {
     let mut skip = rng.exponential(t);
-    out.jump();
+    out.jumps += 1;
     let mut i = 0;
     while i < items.len() {
         let end = (i + SCAN_BLOCK).min(items.len());
@@ -348,9 +315,10 @@ pub(crate) fn scan_chunk_weighted(
                 // Conditional key given `key < t` (paper Section 4.1).
                 let x = (-t * item.weight).exp();
                 let v = -rng.rand_range_oc(x, 1.0).ln() / item.weight;
-                out.emit(SampleKey::new(v, item.id), item.weight);
+                out.candidates
+                    .push((SampleKey::new(v, item.id), item.weight));
                 skip = rng.exponential(t);
-                out.jump();
+                out.jumps += 1;
             }
         }
         i = end;
@@ -358,17 +326,13 @@ pub(crate) fn scan_chunk_weighted(
 }
 
 /// Fixed-threshold uniform chunk scan: geometric jumps over item counts.
-pub(crate) fn scan_chunk_uniform(
-    items: &[Item],
-    t: f64,
-    rng: &mut DefaultRng,
-    out: &mut impl ScanSink,
-) {
+fn scan_chunk_uniform(items: &[Item], t: f64, rng: &mut DefaultRng, out: &mut ChunkOut) {
     if t >= 1.0 {
         // Degenerate threshold: every key qualifies.
         for item in items {
             let v = rng.rand_oc();
-            out.emit(SampleKey::new(v, item.id), item.weight);
+            out.candidates
+                .push((SampleKey::new(v, item.id), item.weight));
         }
         return;
     }
@@ -376,14 +340,15 @@ pub(crate) fn scan_chunk_uniform(
     let n = items.len() as u64;
     while next < n {
         let skip = rng.geometric_skips(t);
-        out.jump();
+        out.jumps += 1;
         if skip >= n - next {
             break;
         }
         next += skip;
         let item = &items[next as usize];
         let v = rng.rand_oc() * t;
-        out.emit(SampleKey::new(v, item.id), item.weight);
+        out.candidates
+            .push((SampleKey::new(v, item.id), item.weight));
         next += 1;
     }
 }
@@ -392,7 +357,7 @@ pub(crate) fn scan_chunk_uniform(
 /// candidates below the relaxed shared-threshold snapshot, prune the local
 /// buffer to `cap` when it spills and publish its own cap-th smallest key
 /// back into the shared bound.
-pub(crate) fn grow_chunk(
+fn grow_chunk(
     items: &[Item],
     cap: usize,
     shared: &AtomicU64,

@@ -1,6 +1,6 @@
 //! Abstraction over a PE's local sorted key set.
 
-use reservoir_btree::{BPlusTree, OlcTree, SampleKey};
+use reservoir_btree::{BPlusTree, SampleKey};
 
 /// A PE-local sorted multiset of [`SampleKey`]s supporting the rank/select
 /// queries the selection protocol needs. Implemented by the local-reservoir
@@ -66,41 +66,6 @@ impl<V> CandidateSet for BPlusTree<SampleKey, V> {
         below
             .checked_sub(1 + r)
             .and_then(|idx| self.select(idx as usize).map(|(k, _)| *k))
-    }
-}
-
-/// The concurrent reservoir tree. Quiescence rule: the selection protocol
-/// runs in the sampler's sequential phases (the scan scope has joined and
-/// `refresh_sizes` ran), which is exactly when these queries are legal.
-impl CandidateSet for OlcTree {
-    fn total(&self) -> u64 {
-        self.len() as u64
-    }
-
-    fn count_le(&self, k: &SampleKey) -> u64 {
-        OlcTree::count_le(self, k) as u64
-    }
-
-    fn count_less(&self, k: &SampleKey) -> u64 {
-        OlcTree::count_less(self, k) as u64
-    }
-
-    fn select_above(&self, lo: Option<&SampleKey>, r: u64) -> Option<SampleKey> {
-        let base = match lo {
-            Some(l) => OlcTree::count_le(self, l) as u64,
-            None => 0,
-        };
-        self.select((base + r) as usize).map(|(k, _)| k)
-    }
-
-    fn select_below(&self, hi: Option<&SampleKey>, r: u64) -> Option<SampleKey> {
-        let below = match hi {
-            Some(h) => OlcTree::count_less(self, h) as u64,
-            None => self.len() as u64,
-        };
-        below
-            .checked_sub(1 + r)
-            .and_then(|idx| self.select(idx as usize).map(|(k, _)| k))
     }
 }
 
@@ -214,39 +179,6 @@ mod tests {
             assert_eq!(tree.count_less(probe), sorted.count_less(probe));
         }
         for r in 0..6 {
-            assert_eq!(tree.select_above(None, r), sorted.select_above(None, r));
-            assert_eq!(tree.select_below(None, r), sorted.select_below(None, r));
-        }
-        let lo = sorted.as_slice()[1];
-        for r in 0..5 {
-            assert_eq!(
-                tree.select_above(Some(&lo), r),
-                sorted.select_above(Some(&lo), r)
-            );
-            assert_eq!(
-                tree.select_below(Some(&lo), r),
-                sorted.select_below(Some(&lo), r)
-            );
-        }
-    }
-
-    #[test]
-    fn olc_impl_matches_sorted_keys() {
-        let vals = [7.0, 3.0, 11.0, 1.0, 5.0, 9.0];
-        let sorted = keys(&vals);
-        let mut tree = OlcTree::new();
-        for (i, &v) in vals.iter().enumerate() {
-            tree.insert(SampleKey::new(v, i as u64), 1.0);
-        }
-        tree.refresh_sizes();
-        for probe in sorted.as_slice() {
-            assert_eq!(CandidateSet::count_le(&tree, probe), sorted.count_le(probe));
-            assert_eq!(
-                CandidateSet::count_less(&tree, probe),
-                sorted.count_less(probe)
-            );
-        }
-        for r in 0..7 {
             assert_eq!(tree.select_above(None, r), sorted.select_above(None, r));
             assert_eq!(tree.select_below(None, r), sorted.select_below(None, r));
         }

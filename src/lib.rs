@@ -14,7 +14,7 @@
 //! | [`seq`] | `reservoir-core` | sequential samplers: exponential/geometric jumps + naive references |
 //! | [`dist`] | `reservoir-core` | Algorithm 1 and Section 5 output as **one engine** (`dist::engine::ReservoirProtocol` over the `SamplerBackend` trait) with three backends — threaded execution, the gather baseline policy, the cost-charging simulator — plus the variable-size variant and [`SampleHandle`] |
 //! | [`select`] | `reservoir-select` | distributed selection: single/multi-pivot, approximate (amsSelect), quickselect |
-//! | [`btree`] | `reservoir-btree` | augmented B+ tree: rank/select/split/join local reservoirs |
+//! | [`btree`] | `reservoir-btree` | augmented B+ tree: rank/select/split/join local reservoirs, allocation-free leaf walk; the snapshot seqlock and its stress hooks |
 //! | [`comm`] | `reservoir-comm` | Communicator trait, threaded runtime, collectives, α–β cost model |
 //! | [`stream`] | `reservoir-stream` | mini-batch model, workload generators, push-based ingestion runtime (`stream::ingest`: record sources, batchers, backpressure) |
 //! | [`par`] | `reservoir-par` | scoped work-stealing thread pool, parallel per-PE local scan (`ParLocalReservoir`) |
@@ -213,7 +213,7 @@
 //! Set `RESERVOIR_OBS=1` (or call [`obs::set_enabled`]) and every layer
 //! reports into one [`obs::Registry`] — collective launches and payload
 //! words (`comm_*`, and `sim_*` for the α–β model's predictions), scan
-//! chunks/steals, seqlock and OLC contention, ingestion backpressure,
+//! chunks/steals, snapshot seqlock contention, ingestion backpressure,
 //! epoch publications — plus a bounded per-PE flight recorder of
 //! structured events ([`obs::TraceKind`]) for post-mortems. Disabled (the
 //! default) is observationally free: a fixed seed draws the

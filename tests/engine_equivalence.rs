@@ -109,21 +109,23 @@ fn gather_wrapper_equals_engine_driven_path_at_both_widths() {
     }
 }
 
-/// The merge schedule is not allowed to change the sample. Parallel scans
-/// draw candidates from per-(batch, chunk) RNG streams, so the candidate
-/// multiset is a function of (seed, chunking) alone — whether candidates
-/// are merged in the scan epilogue or inserted concurrently into the
-/// shared tree, and at whatever thread count, the fixed-seed output must
-/// be byte-identical. (Epilogue at threads=1 is the sequential scan arm,
-/// which draws from a single RNG stream and legitimately differs; it is
-/// covered by the chunked-equivalence tests in `reservoir-par`.)
+/// Neither the scan width nor the merge-mode pin may change the sample.
+/// Parallel scans draw candidates from per-(batch, chunk) RNG streams, so
+/// the candidate multiset is a function of (seed, chunking) alone — at
+/// whatever thread count the epilogue merges them, the fixed-seed output
+/// must be byte-identical, with or without the retired
+/// `with_merge(MergeMode::Epilogue)` pin the benchmark harness still sets.
+/// (threads=1 is the sequential scan arm, which draws from a single RNG
+/// stream and legitimately differs; it is covered by the
+/// chunked-equivalence tests in `reservoir-par`.)
 #[test]
 fn merge_mode_and_thread_count_never_change_the_sample() {
     let p = 3;
-    let run = |threads: usize, merge: MergeMode| {
-        let cfg = DistConfig::weighted(40, 2024)
-            .with_threads(threads)
-            .with_merge(merge);
+    let run = |threads: usize, pinned: bool| {
+        let mut cfg = DistConfig::weighted(40, 2024).with_threads(threads);
+        if pinned {
+            cfg = cfg.with_merge(MergeMode::Epilogue);
+        }
         run_threads(p, |comm| {
             let mut s = DistributedSampler::new(&comm, cfg);
             for b in 0..4u64 {
@@ -136,18 +138,13 @@ fn merge_mode_and_thread_count_never_change_the_sample() {
             )
         })
     };
-    let reference = run(2, MergeMode::Epilogue);
-    for &threads in &[1usize, 2, 4, 8] {
-        let conc = run(threads, MergeMode::Concurrent);
-        assert_eq!(
-            conc, reference,
-            "concurrent merge at threads={threads} diverged from the epilogue reference"
-        );
-        if threads >= 2 {
-            let epi = run(threads, MergeMode::Epilogue);
+    let reference = run(2, false);
+    for &threads in &[2usize, 4, 8] {
+        for pinned in [false, true] {
             assert_eq!(
-                epi, reference,
-                "epilogue merge at threads={threads} diverged from the reference"
+                run(threads, pinned),
+                reference,
+                "threads={threads} merge pin={pinned} diverged from the threads=2 reference"
             );
         }
     }
@@ -158,65 +155,62 @@ fn merge_mode_and_thread_count_never_change_the_sample() {
 /// RNG draws) bracketed by a checkpoint/restore of the selection
 /// generators, so a fixed-seed run with per-batch publication enabled
 /// must produce the byte-identical final sample to the same run without
-/// it — on both real backend policies, at both CI scan widths, under
-/// both merge schedules. The continuous arm additionally checks the last
-/// published epoch against the collected output: the snapshot service
-/// really serves the sample, it does not just not-perturb it.
+/// it — on both real backend policies, at both CI scan widths. The
+/// continuous arm additionally checks the last published epoch against
+/// the collected output: the snapshot service really serves the sample,
+/// it does not just not-perturb it.
 #[test]
 fn continuous_publication_never_changes_the_final_sample() {
     let p = 3;
     for policy in ["distributed", "gather"] {
         for &threads in &[1usize, 4] {
-            for &merge in &[MergeMode::Epilogue, MergeMode::Concurrent] {
-                let run = |continuous: ContinuousMode| {
-                    let cfg = DistConfig::weighted(40, 2024)
-                        .with_threads(threads)
-                        .with_merge(merge)
-                        .with_continuous(continuous);
-                    run_threads(p, |comm| {
-                        let (handle, threshold, reader) = if policy == "distributed" {
-                            let mut s = DistributedSampler::new(&comm, cfg);
-                            let reader = s.snapshot_reader();
-                            for b in 0..4u64 {
-                                s.process_batch(&unit_batch(comm.rank(), b, 150));
-                            }
-                            (s.collect_output(), s.threshold(), reader)
-                        } else {
-                            let mut s = GatherSampler::new(&comm, cfg);
-                            let reader = s.snapshot_reader();
-                            for b in 0..4u64 {
-                                s.process_batch(&unit_batch(comm.rank(), b, 150));
-                            }
-                            (s.collect_output(), s.threshold(), reader)
-                        };
-                        let fp = fingerprint(handle.local_items().iter().map(|m| (m.id, m.key)));
-                        if continuous == ContinuousMode::EveryBatch {
-                            // 4 batches + the final collect_output epoch.
-                            let epoch = reader.read();
-                            assert!(epoch.verify(), "{policy}: torn final epoch");
-                            assert_eq!(epoch.epoch, 5, "{policy}: missing publications");
-                            assert_eq!(
-                                fingerprint(epoch.items.iter().map(|m| (m.id, m.key))),
-                                fp,
-                                "{policy}: final epoch diverged from collected output"
-                            );
-                        } else {
-                            assert_eq!(
-                                reader.latest_epoch(),
-                                0,
-                                "{policy}: publication leaked into disabled mode"
-                            );
+            let run = |continuous: ContinuousMode| {
+                let cfg = DistConfig::weighted(40, 2024)
+                    .with_threads(threads)
+                    .with_continuous(continuous);
+                run_threads(p, |comm| {
+                    let (handle, threshold, reader) = if policy == "distributed" {
+                        let mut s = DistributedSampler::new(&comm, cfg);
+                        let reader = s.snapshot_reader();
+                        for b in 0..4u64 {
+                            s.process_batch(&unit_batch(comm.rank(), b, 150));
                         }
-                        (fp, threshold.map(f64::to_bits))
-                    })
-                };
-                assert_eq!(
-                    run(ContinuousMode::Disabled),
-                    run(ContinuousMode::EveryBatch),
-                    "{policy} threads={threads} merge={merge:?}: continuous \
-                     publication changed the fixed-seed sample"
-                );
-            }
+                        (s.collect_output(), s.threshold(), reader)
+                    } else {
+                        let mut s = GatherSampler::new(&comm, cfg);
+                        let reader = s.snapshot_reader();
+                        for b in 0..4u64 {
+                            s.process_batch(&unit_batch(comm.rank(), b, 150));
+                        }
+                        (s.collect_output(), s.threshold(), reader)
+                    };
+                    let fp = fingerprint(handle.local_items().iter().map(|m| (m.id, m.key)));
+                    if continuous == ContinuousMode::EveryBatch {
+                        // 4 batches + the final collect_output epoch.
+                        let epoch = reader.read();
+                        assert!(epoch.verify(), "{policy}: torn final epoch");
+                        assert_eq!(epoch.epoch, 5, "{policy}: missing publications");
+                        assert_eq!(
+                            fingerprint(epoch.items.iter().map(|m| (m.id, m.key))),
+                            fp,
+                            "{policy}: final epoch diverged from collected output"
+                        );
+                    } else {
+                        assert_eq!(
+                            reader.latest_epoch(),
+                            0,
+                            "{policy}: publication leaked into disabled mode"
+                        );
+                    }
+                    (fp, threshold.map(f64::to_bits))
+                })
+            };
+            assert_eq!(
+                run(ContinuousMode::Disabled),
+                run(ContinuousMode::EveryBatch),
+                "{policy} threads={threads}: continuous publication \
+                 changed the fixed-seed sample"
+            );
         }
     }
 }
@@ -379,14 +373,14 @@ fn unified_drain_finalizes_window_mode_output() {
     assert!(results.iter().all(|t| *t == lo));
 }
 
-/// Pooled node storage and the sparse-batch fast path are invisible to
-/// the sampling law: at both CI scan widths × both merge schedules, a
-/// shard fleet — whose concurrent trees share ONE node pool, with the
-/// sparse skip on or off — reproduces byte for byte the samples of
-/// standalone per-shard samplers, each with its own private storage.
-/// Shard 3 never receives a record, so the skip-on fleet genuinely
-/// skips it every superstep while the standalone reference processes
-/// its empty batches; identical output pins the skip as law-free.
+/// Persistent scan crews and the sparse-batch fast path are invisible to
+/// the sampling law: at both CI scan widths, a shard fleet — its scans on
+/// per-scope helpers or on persistent crews, with the sparse skip on or
+/// off — reproduces byte for byte the samples of standalone per-shard
+/// samplers on per-scope helpers. Shard 3 never receives a record, so the
+/// skip-on fleet genuinely skips it every superstep (its crew idles)
+/// while the standalone reference processes its empty batches; identical
+/// output pins the skip as law-free.
 #[test]
 fn pooled_fleet_and_sparse_skip_match_private_samplers_on_the_grid() {
     use reservoir::dist::{shard_seed, ShardedSampler};
@@ -404,83 +398,71 @@ fn pooled_fleet_and_sparse_skip_match_private_samplers_on_the_grid() {
     }
     let p = 2;
     for &threads in &[1usize, 4] {
-        for &merge in &[MergeMode::Epilogue, MergeMode::Concurrent] {
-            let private = run_threads(p, |comm| {
-                (0..SHARDS)
-                    .map(|s| {
-                        let cfg = DistConfig::weighted(25, shard_seed(808, s))
-                            .with_threads(threads)
-                            .with_merge(merge);
-                        let mut solo = DistributedSampler::new(&comm, cfg);
-                        for b in 0..4u64 {
-                            let buckets = route(unit_batch(comm.rank(), b, 120));
-                            solo.process_batch(&buckets[s]);
-                        }
-                        let handle = solo.collect_output();
+        let private = run_threads(p, |comm| {
+            (0..SHARDS)
+                .map(|s| {
+                    let cfg = DistConfig::weighted(25, shard_seed(808, s)).with_threads(threads);
+                    let mut solo = DistributedSampler::new(&comm, cfg);
+                    for b in 0..4u64 {
+                        let buckets = route(unit_batch(comm.rank(), b, 120));
+                        solo.process_batch(&buckets[s]);
+                    }
+                    let handle = solo.collect_output();
+                    (
+                        fingerprint(handle.local_items().iter().map(|m| (m.id, m.key))),
+                        solo.threshold().map(f64::to_bits),
+                    )
+                })
+                .collect::<Vec<_>>()
+        });
+        for (pooled, skip) in [(false, true), (false, false), (true, true), (true, false)] {
+            let fleet = run_threads(p, |comm| {
+                let cfg = DistConfig::weighted(25, 808)
+                    .with_threads(threads)
+                    .with_persistent_pool(pooled);
+                let mut fleet = ShardedSampler::new(&comm, cfg, SHARDS).with_sparse_skip(skip);
+                let mut skipped = 0usize;
+                for b in 0..4u64 {
+                    skipped += fleet
+                        .process_batch(&route(unit_batch(comm.rank(), b, 120)))
+                        .shards_skipped;
+                }
+                assert_eq!(
+                    skipped,
+                    if skip { 4 } else { 0 },
+                    "the always-empty shard must skip exactly when enabled"
+                );
+                let thresholds: Vec<_> = (0..SHARDS).map(|s| fleet.threshold(s)).collect();
+                fleet
+                    .collect_output()
+                    .iter()
+                    .zip(thresholds)
+                    .map(|(h, t)| {
                         (
-                            fingerprint(handle.local_items().iter().map(|m| (m.id, m.key))),
-                            solo.threshold().map(f64::to_bits),
+                            fingerprint(h.local_items().iter().map(|m| (m.id, m.key))),
+                            t.map(f64::to_bits),
                         )
                     })
                     .collect::<Vec<_>>()
             });
-            for &skip in &[true, false] {
-                let fleet = run_threads(p, |comm| {
-                    let cfg = DistConfig::weighted(25, 808)
-                        .with_threads(threads)
-                        .with_merge(merge);
-                    let mut fleet = ShardedSampler::new(&comm, cfg, SHARDS).with_sparse_skip(skip);
-                    let mut skipped = 0usize;
-                    for b in 0..4u64 {
-                        skipped += fleet
-                            .process_batch(&route(unit_batch(comm.rank(), b, 120)))
-                            .shards_skipped;
-                    }
-                    assert_eq!(
-                        skipped,
-                        if skip { 4 } else { 0 },
-                        "the always-empty shard must skip exactly when enabled"
-                    );
-                    if merge == MergeMode::Concurrent {
-                        assert!(
-                            fleet.node_pool().is_some(),
-                            "concurrent fleets must share one node pool"
-                        );
-                    }
-                    let thresholds: Vec<_> = (0..SHARDS).map(|s| fleet.threshold(s)).collect();
-                    fleet
-                        .collect_output()
-                        .iter()
-                        .zip(thresholds)
-                        .map(|(h, t)| {
-                            (
-                                fingerprint(h.local_items().iter().map(|m| (m.id, m.key))),
-                                t.map(f64::to_bits),
-                            )
-                        })
-                        .collect::<Vec<_>>()
-                });
-                assert_eq!(
-                    fleet, private,
-                    "threads={threads} merge={merge:?} sparse_skip={skip}: \
-                     pooled fleet diverged from private standalone samplers"
-                );
-            }
+            assert_eq!(
+                fleet, private,
+                "threads={threads} persistent_pool={pooled} sparse_skip={skip}: \
+                 fleet diverged from private standalone samplers"
+            );
         }
     }
 }
 
-/// The contention-aware insertion toggle reorders concurrent inserts
-/// (key-sorted micro-batches) but never changes the inserted set — the
-/// fixed-seed sample is byte-identical with it on or off, at both CI
-/// scan widths × both merge schedules (the epilogue arm ignores it).
+/// The retired leaf-affinity toggle, which the benchmark harness still
+/// pins on, never changes the sample: the fixed-seed output is
+/// byte-identical with it on or off, at both CI scan widths.
 #[test]
 fn leaf_affinity_toggle_never_changes_the_sample() {
     let p = 3;
-    let run = |threads: usize, merge: MergeMode, affinity: bool| {
+    let run = |threads: usize, affinity: bool| {
         let cfg = DistConfig::weighted(40, 2024)
             .with_threads(threads)
-            .with_merge(merge)
             .with_leaf_affinity(affinity);
         run_threads(p, |comm| {
             let mut s = DistributedSampler::new(&comm, cfg);
@@ -495,13 +477,11 @@ fn leaf_affinity_toggle_never_changes_the_sample() {
         })
     };
     for &threads in &[1usize, 4] {
-        for &merge in &[MergeMode::Epilogue, MergeMode::Concurrent] {
-            assert_eq!(
-                run(threads, merge, true),
-                run(threads, merge, false),
-                "threads={threads} merge={merge:?}: leaf affinity changed the sample"
-            );
-        }
+        assert_eq!(
+            run(threads, true),
+            run(threads, false),
+            "threads={threads}: leaf affinity changed the sample"
+        );
     }
 }
 

@@ -12,27 +12,21 @@
 //! Only deterministic metrics are pinned: the snapshot is filtered to an
 //! explicit allowlist before rendering, excluding wall-clock gauges
 //! (`phase_*`, `sim_collective_seconds`) and contention tallies
-//! (seqlock/OLC retries, pool steals) that legitimately vary run to run.
-//! The run pins `threads = 1`, the epilogue merge and disabled
-//! continuous publication explicitly, so the CI matrix's
-//! `RESERVOIR_THREADS`/`MERGE`/`CONTINUOUS` environment cannot perturb
-//! the pinned counts.
+//! (seqlock retries, pool steals) that legitimately vary run to run.
+//! The run pins `threads = 1` and disabled continuous publication
+//! explicitly, so the CI matrix's `RESERVOIR_THREADS`/`CONTINUOUS`
+//! environment cannot perturb the pinned counts.
 
 use std::fs;
 use std::path::PathBuf;
 
 use reservoir::comm::run_threads;
 use reservoir::dist::threaded::DistributedSampler;
-use reservoir::dist::{ContinuousMode, DistConfig, MergeMode};
+use reservoir::dist::{ContinuousMode, DistConfig};
 use reservoir::stream::Item;
 
 /// Metrics whose fixed-seed values are exactly reproducible. Everything
-/// else (timings, contention) is dropped before rendering. The pooled
-/// node-storage metrics (`pool_bytes`, `pool_pages_allocated`,
-/// `pool_recycles`) and `shards_skipped_sparse_total` stay off this list
-/// deliberately: they depend on merge mode, thread count, and pool
-/// sharing (one fleet-wide pool vs one per sampler), so their fixed-seed
-/// values are mode-dependent, not run-reproducible.
+/// else (timings, contention) is dropped before rendering.
 const DETERMINISTIC: &[&str] = &[
     "comm_bcast_total",
     "comm_collective_words",
@@ -78,7 +72,6 @@ fn exports_match_golden_snapshot() {
     reservoir::obs::set_enabled(true);
     let cfg = DistConfig::weighted(16, 7)
         .with_threads(1)
-        .with_merge(MergeMode::Epilogue)
         .with_continuous(ContinuousMode::Disabled);
     let totals = run_threads(2, |comm| {
         use reservoir::comm::Communicator;

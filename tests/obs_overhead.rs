@@ -2,7 +2,7 @@
 //! recorder fully armed, a fixed pipeline run must keep at least 0.9× of
 //! its disarmed throughput. This is the teeth behind the "near-zero cost"
 //! claim — the hot paths carry one relaxed load and a predictable branch
-//! (or nothing at all on the uncontended seqlock/OLC paths), so losing
+//! (or nothing at all on the uncontended seqlock paths), so losing
 //! more than 10% means an instrumentation site leaked onto a hot path.
 //!
 //! `stats`-gated (run via `cargo test --release --features stats --
@@ -16,7 +16,7 @@ use std::time::Instant;
 
 use reservoir::comm::run_threads;
 use reservoir::dist::threaded::DistributedSampler;
-use reservoir::dist::{ContinuousMode, DistConfig, MergeMode};
+use reservoir::dist::{ContinuousMode, DistConfig};
 use reservoir::stream::{StreamSpec, WeightGen};
 
 /// One timed fixed-seed run; returns items/second.
@@ -32,7 +32,6 @@ fn throughput(seed: u64) -> f64 {
     };
     let cfg = DistConfig::weighted(1_000, seed)
         .with_threads(1)
-        .with_merge(MergeMode::Epilogue)
         .with_continuous(ContinuousMode::Disabled);
     let start = Instant::now();
     run_threads(pes, |comm| {

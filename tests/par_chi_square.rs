@@ -6,10 +6,12 @@
 //! baseline) under the `threads_per_pe` knob — plus the fixed-seed
 //! determinism guarantees of the merge epilogue.
 //!
-//! The concurrent shared-tree merge (`MergeMode::Concurrent`, workers
-//! inserting straight into the OLC tree) is held to the same bar: its
-//! local scans and its end-to-end pipelines are two-sample-χ²-tested
-//! against the sequential law on both backends.
+//! The persistent worker crew (`Pool::persistent`, helpers spawned once
+//! and woken per scope, running concurrently with the caller across
+//! batches) is held to the same bar: the `conc_` variants run the local
+//! scans on one crew shared by every trial's reservoir and the pipelines
+//! with `with_persistent_pool(true)`, two-sample-χ²-tested against the
+//! sequential law on both backends.
 //!
 //! The always-on tests keep trial counts modest; the `stats_`-prefixed
 //! tests behind the `stats` feature run the same laws at CI scale
@@ -21,8 +23,8 @@ use common::{chi_square_upper, skewed_weight, two_sample_chi_square};
 use reservoir::comm::run_threads;
 use reservoir::dist::gather::GatherSampler;
 use reservoir::dist::threaded::DistributedSampler;
-use reservoir::dist::{DistConfig, LocalReservoir, MergeMode};
-use reservoir::par::{ConcurrentReservoir, ParLocalReservoir};
+use reservoir::dist::{DistConfig, LocalReservoir};
+use reservoir::par::{ParLocalReservoir, Pool};
 use reservoir::rng::{default_rng, test_base_seed};
 use reservoir::stream::Item;
 
@@ -61,14 +63,15 @@ fn seq_scan_counts(n: u64, t: f64, trials: u64, seed_base: u64) -> Vec<u64> {
     counts
 }
 
-/// Per-item inclusion counts of the *parallel* threshold scan at
-/// `threads` workers (small chunks so even these batch sizes span many
-/// chunks — and real steals happen).
-fn par_scan_counts(n: u64, t: f64, threads: usize, trials: u64, seed_base: u64) -> Vec<u64> {
+/// Per-item inclusion counts of the *parallel* threshold scan on `pool`'s
+/// workers (small chunks so even these batch sizes span many chunks — and
+/// real steals happen).
+fn par_scan_counts(n: u64, t: f64, pool: &Pool, trials: u64, seed_base: u64) -> Vec<u64> {
     let mut counts = vec![0u64; n as usize];
     for trial in 0..trials {
-        let mut r = ParLocalReservoir::new(8, 32, threads, seed_base.wrapping_add(trial))
-            .with_chunk_items(64);
+        let mut r = ParLocalReservoir::new(8, 32, pool.threads(), seed_base.wrapping_add(trial))
+            .with_chunk_items(64)
+            .with_pool(pool.clone());
         r.process_weighted(&batch(n, moderate_weight), Some(t));
         for (k, _) in r.tree().iter() {
             counts[k.id as usize] += 1;
@@ -77,28 +80,11 @@ fn par_scan_counts(n: u64, t: f64, threads: usize, trials: u64, seed_base: u64) 
     counts
 }
 
-/// Per-item inclusion counts of the *concurrent shared-tree* threshold
-/// scan: workers insert into the OLC tree as they go instead of merging
-/// in the epilogue.
-fn conc_scan_counts(n: u64, t: f64, threads: usize, trials: u64, seed_base: u64) -> Vec<u64> {
-    let mut counts = vec![0u64; n as usize];
-    for trial in 0..trials {
-        let mut r = ConcurrentReservoir::new(8, threads, seed_base.wrapping_add(trial))
-            .with_chunk_items(64);
-        r.process_weighted(&batch(n, moderate_weight), Some(t));
-        r.tree().for_each(|k, _| counts[k.id as usize] += 1);
-    }
-    counts
-}
-
 /// End-to-end per-item inclusion counts through `DistributedSampler` (or
-/// the `GatherSampler` baseline) at the given `threads_per_pe` and merge
-/// schedule.
-#[allow(clippy::too_many_arguments)]
+/// the `GatherSampler` baseline) under the scan knobs `scan` sets.
 fn pipeline_counts(
     gather_backend: bool,
-    threads: usize,
-    merge: MergeMode,
+    scan: impl Fn(DistConfig) -> DistConfig,
     n: u64,
     k: usize,
     p: usize,
@@ -107,9 +93,7 @@ fn pipeline_counts(
 ) -> Vec<u64> {
     let mut counts = vec![0u64; n as usize];
     for trial in 0..trials {
-        let cfg = DistConfig::weighted(k, seed_base.wrapping_add(trial))
-            .with_threads(threads)
-            .with_merge(merge);
+        let cfg = scan(DistConfig::weighted(k, seed_base.wrapping_add(trial)));
         let ids = run_threads(p, |comm| {
             use reservoir::comm::Communicator;
             let ids: Vec<u64> = if gather_backend {
@@ -157,7 +141,7 @@ fn assert_same_law(a: &[u64], b: &[u64], z: f64, what: &str) {
 fn check_threshold_scan_law(n: u64, t: f64, trials: u64, z: f64) {
     let base = test_base_seed();
     let seq = seq_scan_counts(n, t, trials, base.wrapping_add(21_000_000));
-    let par = par_scan_counts(n, t, 4, trials, base.wrapping_add(22_000_000));
+    let par = par_scan_counts(n, t, &Pool::new(4), trials, base.wrapping_add(22_000_000));
     // Heavier items must be included more often in both.
     assert!(seq[9] > seq[0], "{} vs {}", seq[9], seq[0]);
     assert!(par[9] > par[0], "{} vs {}", par[9], par[0]);
@@ -167,13 +151,19 @@ fn check_threshold_scan_law(n: u64, t: f64, trials: u64, z: f64) {
 fn check_conc_threshold_scan_law(n: u64, t: f64, trials: u64, z: f64) {
     let base = test_base_seed();
     let seq = seq_scan_counts(n, t, trials, base.wrapping_add(25_000_000));
-    let conc = conc_scan_counts(n, t, 4, trials, base.wrapping_add(26_000_000));
+    let conc = par_scan_counts(
+        n,
+        t,
+        &Pool::persistent(4),
+        trials,
+        base.wrapping_add(26_000_000),
+    );
     assert!(conc[9] > conc[0], "{} vs {}", conc[9], conc[0]);
     assert_same_law(
         &seq,
         &conc,
         z,
-        "concurrent threshold scan (t=4 vs sequential)",
+        "threshold scan on a persistent crew (t=4 vs sequential)",
     );
 }
 
@@ -194,7 +184,13 @@ fn par_chi_square_detects_a_genuinely_different_law() {
     let base = test_base_seed();
     let (n, trials) = (512u64, 200u64);
     let seq = seq_scan_counts(n, 0.1, trials, base.wrapping_add(23_000_000));
-    let par = par_scan_counts(n, 0.16, 4, trials, base.wrapping_add(24_000_000));
+    let par = par_scan_counts(
+        n,
+        0.16,
+        &Pool::new(4),
+        trials,
+        base.wrapping_add(24_000_000),
+    );
     let (stat, df) = two_sample_chi_square(&seq, &par);
     let limit = chi_square_upper(df, 2.33);
     assert!(
@@ -206,80 +202,72 @@ fn par_chi_square_detects_a_genuinely_different_law() {
 
 // --- growing-mode local law --------------------------------------------
 
-#[test]
-fn par_growing_mode_matches_sequential_law() {
-    // No global threshold: keep the cap smallest keys. Sequential jump
-    // reservoir vs parallel draw-and-re-prune — same weighted law.
+/// No global threshold: keep the cap smallest keys. Sequential jump
+/// reservoir vs parallel draw-and-re-prune on `pool` — same weighted law.
+/// The sequential side seeds from `salt`, the parallel side from
+/// `salt + 1_000_000`.
+fn check_growing_mode_law(pool: &Pool, salt: u64, what: &str) {
     let base = test_base_seed();
     let (n, cap, trials) = (256u64, 32usize, 300u64);
     let mut seq = vec![0u64; n as usize];
     let mut par = vec![0u64; n as usize];
     for trial in 0..trials {
         let mut r = LocalReservoir::new(cap, 32);
-        let mut rng = default_rng(base.wrapping_add(31_000_000 + trial));
+        let mut rng = default_rng(base.wrapping_add(salt + trial));
         r.process_weighted(&batch(n, skewed_weight), None, &mut rng);
         assert_eq!(r.len(), cap as u64);
         for m in r.items() {
             seq[m.id as usize] += 1;
         }
-        let mut r = ParLocalReservoir::new(cap, 32, 4, base.wrapping_add(32_000_000 + trial))
-            .with_chunk_items(48);
+        let seed = base.wrapping_add(salt + 1_000_000 + trial);
+        let mut r = ParLocalReservoir::new(cap, 32, pool.threads(), seed)
+            .with_chunk_items(48)
+            .with_pool(pool.clone());
         r.process_weighted(&batch(n, skewed_weight), None);
         assert_eq!(r.len(), cap as u64);
         for (k, _) in r.tree().iter() {
             par[k.id as usize] += 1;
         }
     }
-    assert_same_law(&seq, &par, 4.0, "growing mode (t=4 vs sequential)");
+    assert_same_law(&seq, &par, 4.0, what);
+}
+
+#[test]
+fn par_growing_mode_matches_sequential_law() {
+    check_growing_mode_law(
+        &Pool::new(4),
+        31_000_000,
+        "growing mode (t=4 vs sequential)",
+    );
 }
 
 #[test]
 fn conc_growing_mode_matches_sequential_law() {
-    // Growing mode under the concurrent merge: chunk-local draw into
-    // per-worker buffers, insert into the shared tree, truncate to cap.
-    let base = test_base_seed();
-    let (n, cap, trials) = (256u64, 32usize, 300u64);
-    let mut seq = vec![0u64; n as usize];
-    let mut conc = vec![0u64; n as usize];
-    for trial in 0..trials {
-        let mut r = LocalReservoir::new(cap, 32);
-        let mut rng = default_rng(base.wrapping_add(33_000_000 + trial));
-        r.process_weighted(&batch(n, skewed_weight), None, &mut rng);
-        assert_eq!(r.len(), cap as u64);
-        for m in r.items() {
-            seq[m.id as usize] += 1;
-        }
-        let mut r = ConcurrentReservoir::new(cap, 4, base.wrapping_add(34_000_000 + trial))
-            .with_chunk_items(48);
-        r.process_weighted(&batch(n, skewed_weight), None);
-        assert_eq!(r.len(), cap as u64);
-        r.tree().for_each(|k, _| conc[k.id as usize] += 1);
-    }
-    assert_same_law(
-        &seq,
-        &conc,
-        4.0,
-        "concurrent growing mode (t=4 vs sequential)",
+    check_growing_mode_law(
+        &Pool::persistent(4),
+        33_000_000,
+        "growing mode on a persistent crew (t=4 vs sequential)",
     );
 }
 
 // --- end-to-end law on both backends -----------------------------------
 
-fn check_pipeline_law(gather_backend: bool, merge: MergeMode, trials: u64, z: f64) {
+/// The `threads = 4` pipeline law, its scans on per-scope helpers or
+/// (`persistent`) on each PE's persistent crew.
+fn check_pipeline_law(gather_backend: bool, persistent: bool, trials: u64, z: f64) {
     let base = test_base_seed();
     let (n, k, p) = (96u64, 16usize, 2usize);
-    // Distinct salt per (backend, merge) cell so the cells stay
+    // Distinct salt per (backend, crew) cell so the cells stay
     // independent trials of the law.
-    let salt = match (gather_backend, merge) {
-        (true, MergeMode::Epilogue) => 41_000_000,
-        (false, MergeMode::Epilogue) => 45_000_000,
-        (true, MergeMode::Concurrent) => 51_000_000,
-        (false, MergeMode::Concurrent) => 55_000_000,
+    let salt = match (gather_backend, persistent) {
+        (true, false) => 41_000_000,
+        (false, false) => 45_000_000,
+        (true, true) => 51_000_000,
+        (false, true) => 55_000_000,
     };
     let seq = pipeline_counts(
         gather_backend,
-        1,
-        MergeMode::Epilogue,
+        |cfg| cfg.with_threads(1),
         n,
         k,
         p,
@@ -288,8 +276,7 @@ fn check_pipeline_law(gather_backend: bool, merge: MergeMode, trials: u64, z: f6
     );
     let par = pipeline_counts(
         gather_backend,
-        4,
-        merge,
+        |cfg| cfg.with_threads(4).with_persistent_pool(persistent),
         n,
         k,
         p,
@@ -303,28 +290,29 @@ fn check_pipeline_law(gather_backend: bool, merge: MergeMode, trials: u64, z: f6
     } else {
         "DistributedSampler"
     };
-    let name = format!("{backend} backend, {merge:?} merge (threads 4 vs 1)");
+    let crew = if persistent { ", persistent crew" } else { "" };
+    let name = format!("{backend} backend{crew} (threads 4 vs 1)");
     assert_same_law(&seq, &par, z, &name);
 }
 
 #[test]
 fn par_matches_sequential_law_on_distributed_backend() {
-    check_pipeline_law(false, MergeMode::Epilogue, 250, 4.0);
+    check_pipeline_law(false, false, 250, 4.0);
 }
 
 #[test]
 fn par_matches_sequential_law_on_gather_backend() {
-    check_pipeline_law(true, MergeMode::Epilogue, 250, 4.0);
+    check_pipeline_law(true, false, 250, 4.0);
 }
 
 #[test]
 fn conc_matches_sequential_law_on_distributed_backend() {
-    check_pipeline_law(false, MergeMode::Concurrent, 250, 4.0);
+    check_pipeline_law(false, true, 250, 4.0);
 }
 
 #[test]
 fn conc_matches_sequential_law_on_gather_backend() {
-    check_pipeline_law(true, MergeMode::Concurrent, 250, 4.0);
+    check_pipeline_law(true, true, 250, 4.0);
 }
 
 // --- determinism of the merge epilogue ---------------------------------
@@ -388,30 +376,12 @@ fn stats_par_threshold_scan_matches_sequential_law_at_scale() {
 
 #[cfg(feature = "stats")]
 #[test]
-fn stats_conc_threshold_scan_matches_sequential_law_at_scale() {
-    check_conc_threshold_scan_law(1024, 0.1, 2_000, 2.33);
-}
-
-#[cfg(feature = "stats")]
-#[test]
 fn stats_par_matches_sequential_law_on_distributed_backend_at_scale() {
-    check_pipeline_law(false, MergeMode::Epilogue, 1_500, 2.33);
+    check_pipeline_law(false, false, 1_500, 2.33);
 }
 
 #[cfg(feature = "stats")]
 #[test]
 fn stats_par_matches_sequential_law_on_gather_backend_at_scale() {
-    check_pipeline_law(true, MergeMode::Epilogue, 1_500, 2.33);
-}
-
-#[cfg(feature = "stats")]
-#[test]
-fn stats_conc_matches_sequential_law_on_distributed_backend_at_scale() {
-    check_pipeline_law(false, MergeMode::Concurrent, 1_500, 2.33);
-}
-
-#[cfg(feature = "stats")]
-#[test]
-fn stats_conc_matches_sequential_law_on_gather_backend_at_scale() {
-    check_pipeline_law(true, MergeMode::Concurrent, 1_500, 2.33);
+    check_pipeline_law(true, false, 1_500, 2.33);
 }

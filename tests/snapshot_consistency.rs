@@ -5,10 +5,10 @@
 //! publisher that dies must leave the last epoch served forever.
 //!
 //! The seqlock behind the epoch slot fires the `reservoir_btree::sched`
-//! hooks, so the same seeded [`YieldInjector`] that widens the OLC race
-//! windows drives genuine reader/writer interleavings here: normal mode
-//! sprays yields at every hook, aggressive mode parks the publisher
-//! mid-critical-section for ~120µs while readers hammer the slot.
+//! hooks, so the seeded [`YieldInjector`] drives genuine reader/writer
+//! interleavings here: normal mode sprays yields at every hook,
+//! aggressive mode parks the publisher mid-critical-section for ~120µs
+//! while readers hammer the slot.
 //!
 //! Scaled by `RESERVOIR_STRESS_ROUNDS` (batches per run); CI's
 //! snapshot-stress step sweeps four seed families at 40 rounds each via
@@ -16,11 +16,11 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
+use reservoir::btree::sched::YieldInjector;
 use reservoir::comm::{run_threads, Communicator};
 use reservoir::dist::gather::GatherSampler;
 use reservoir::dist::threaded::DistributedSampler;
-use reservoir::dist::{ContinuousMode, DistConfig, MergeMode, SnapshotReader};
-use reservoir::par::YieldInjector;
+use reservoir::dist::{ContinuousMode, DistConfig, SnapshotReader};
 use reservoir::rng::test_base_seed;
 use reservoir::stream::Item;
 
@@ -112,8 +112,8 @@ fn spawn_readers<'s>(
 }
 
 /// The acceptance-criterion race: 4 reader threads per PE against live
-/// ingestion in `MergeMode::Concurrent` at 2 scan threads, with the
-/// yield injector widening every seqlock window. Distributed policy;
+/// ingestion at 2 scan threads, with the yield injector widening every
+/// seqlock window. Distributed policy;
 /// each batch publishes an epoch and `collect_output` publishes the
 /// final one, so readers must converge on epoch `batches + 1`.
 #[test]
@@ -130,7 +130,6 @@ fn live_ingestion_never_serves_torn_epochs() {
         let p = 3;
         let cfg = DistConfig::weighted(48, seed)
             .with_threads(2)
-            .with_merge(MergeMode::Concurrent)
             .with_continuous(ContinuousMode::EveryBatch);
         let results = run_threads(p, |comm| {
             let mut s = DistributedSampler::new(&comm, cfg);
