@@ -15,6 +15,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use reservoir_btree::{BPlusTree, SampleKey};
 use reservoir_core::dist::local::LocalReservoir;
 use reservoir_core::seq::{UniformJumpSampler, WeightedJumpSampler, WeightedNaiveSampler};
+use reservoir_par::Pool;
 use reservoir_rng::{default_rng, Rng64};
 use reservoir_select::{kth_smallest, select_conductor, SelectParams, SortedKeys, TargetRank};
 use reservoir_stream::Item;
@@ -94,9 +95,8 @@ fn skip_scan(c: &mut Criterion) {
     let t = 1e-6; // few insertions: the scan dominates
     group.bench_function("blocked_32", |b| {
         b.iter(|| {
-            let mut r = LocalReservoir::new(8, 32);
-            let mut rng = default_rng(4);
-            r.process_weighted(&items, Some(t), &mut rng).inserted
+            let mut r = LocalReservoir::new(8, 32, Pool::new(1), 4);
+            r.process_weighted(&items, Some(t)).inserted
         })
     });
     group.bench_function("scalar", |b| {

@@ -1,31 +1,29 @@
 //! Parallel local-scan scaling through the **engine API**: real (not
 //! simulated) throughput of a single-PE `ReservoirProtocol<CommBackend>`
-//! batch step over 1..=8 scan threads, against the sequential
-//! `LocalReservoir` jump-scan baseline, on this machine — the path every
-//! production batch takes, not a bare reservoir micro-loop. Each width is
-//! swept twice: with the default per-scope worker pool and with the
-//! persistent crew (`DistConfig::with_persistent_pool`), whose per-batch
-//! spawn count drops to zero.
+//! batch step over 1..=8 scan threads, against a bare one-worker
+//! `LocalReservoir` scan (the inline chunk kernels), on this machine —
+//! the path every production batch takes, not a bare reservoir
+//! micro-loop. Every width above one runs its multi-chunk batches on the
+//! PE's worker crew.
 //!
 //! Emits a human-readable table on stdout and a machine-readable
 //! `BENCH_par_scan.json` (override the path with `RESERVOIR_BENCH_OUT`) —
 //! the recorded perf trajectory CI uploads as a non-gating artifact. The
 //! schema keeps every pre-engine field (`items_per_s`, `speedup_vs_seq`,
 //! `modeled_speedup`, `steals_per_batch`, `worker_imbalance`) so the
-//! trajectory stays comparable, and adds `spawns_per_batch` and the
-//! `persistent` flag. Honours `RESERVOIR_BENCH_QUICK=1` for a reduced
-//! batch size.
+//! trajectory stays comparable. Honours `RESERVOIR_BENCH_QUICK=1` for a
+//! reduced batch size.
 
 use std::fmt::Write as _;
 use std::time::Instant;
 
 use reservoir_bench::calibrate;
 use reservoir_core::dist::engine::ReservoirProtocol;
-use reservoir_core::dist::local::LocalReservoir;
+use reservoir_core::dist::local::{LocalReservoir, DEFAULT_CHUNK_ITEMS};
 use reservoir_core::dist::sim::LocalCostModel;
 use reservoir_core::dist::threaded::CommBackend;
 use reservoir_core::dist::DistConfig;
-use reservoir_par::DEFAULT_CHUNK_ITEMS;
+use reservoir_par::Pool;
 use reservoir_rng::{default_rng, Rng64};
 use reservoir_stream::Item;
 
@@ -38,11 +36,9 @@ const MAX_THREADS: usize = 8;
 
 struct Sweep {
     threads: usize,
-    persistent: bool,
     items_per_s: f64,
     speedup_vs_seq: f64,
     steals: u64,
-    spawns: u64,
     worker_imbalance: f64,
 }
 
@@ -73,14 +69,13 @@ fn main() {
         .map(|i| Item::new(i, rng.rand_oc() * 100.0))
         .collect();
 
-    // Sequential baseline: the classic LocalReservoir jump scan (kept
-    // identical across bench generations so speedups stay comparable).
-    let mut seq = LocalReservoir::new(K, 32);
-    let mut seq_rng = default_rng(1);
-    let _ = seq.process_weighted(&items, Some(1e-6), &mut seq_rng);
+    // Baseline: a bare one-worker LocalReservoir scan, outside the
+    // engine (the inline chunk kernels every width shares).
+    let mut seq = LocalReservoir::new(K, 32, Pool::new(1), 1);
+    let _ = seq.process_weighted(&items, Some(1e-6));
     let seq_s = time_reps(
         || {
-            let _ = seq.process_weighted(&items, Some(1e-6), &mut seq_rng);
+            let _ = seq.process_weighted(&items, Some(1e-6));
         },
         reps,
     );
@@ -88,80 +83,65 @@ fn main() {
 
     let mut sweep = Vec::new();
     for threads in 1..=MAX_THREADS {
-        for persistent in [false, true] {
-            if threads == 1 && persistent {
-                continue; // one worker has no helpers to keep alive
-            }
-            // One PE over the engine: every measured batch runs the full
-            // insert_scan → count → select_prune step.
-            let items_ref = &items;
-            let result = reservoir_comm::run_threads(1, move |comm| {
-                let cfg = DistConfig::weighted(K, 1)
-                    .with_threads(threads)
-                    .with_persistent_pool(persistent);
-                let mut engine = ReservoirProtocol::new(CommBackend::new(&comm, &cfg), cfg);
-                // Warm up: establishes the threshold and the crew.
-                let _ = engine.step(items_ref);
-                let mut steals = 0u64;
-                let mut spawns = 0u64;
-                let mut max_busy = 0.0f64;
-                let mut sum_busy = 0.0f64;
-                let per = time_reps(
-                    || {
-                        let report = engine.step(items_ref);
-                        steals += report.scan.steals;
-                        spawns += report.scan.spawns;
-                        if let Some(par) = engine.backend().last_par_scan() {
-                            max_busy += par.max_worker_scan_s();
-                            sum_busy += par.worker_scan_s.iter().sum::<f64>();
-                        }
-                    },
-                    reps,
-                );
-                (per, steals, spawns, max_busy, sum_busy)
-            });
-            let (per, steals, spawns, max_busy, sum_busy) = result[0];
-            let items_per_s = b as f64 / per;
-            sweep.push(Sweep {
-                threads,
-                persistent,
-                items_per_s,
-                speedup_vs_seq: items_per_s / baseline,
-                steals: steals / reps as u64,
-                spawns: spawns / reps as u64,
-                // max/mean worker busy time: 1.0 = perfectly balanced.
-                // One worker (the sequential path, which reports no
-                // per-worker breakdown) is trivially balanced.
-                worker_imbalance: if threads == 1 || sum_busy <= 0.0 {
-                    1.0
-                } else {
-                    max_busy / (sum_busy / threads as f64)
+        // One PE over the engine: every measured batch runs the full
+        // insert_scan → count → select_prune step.
+        let items_ref = &items;
+        let result = reservoir_comm::run_threads(1, move |comm| {
+            let cfg = DistConfig::weighted(K, 1).with_threads(threads);
+            let mut engine = ReservoirProtocol::new(CommBackend::new(&comm, &cfg), cfg);
+            // Warm up: establishes the threshold and wakes the crew.
+            let _ = engine.step(items_ref);
+            let mut steals = 0u64;
+            let mut max_busy = 0.0f64;
+            let mut sum_busy = 0.0f64;
+            let per = time_reps(
+                || {
+                    let report = engine.step(items_ref);
+                    steals += report.scan.steals;
+                    if let Some(par) = engine.backend().last_par_scan() {
+                        max_busy += par.max_busy_s();
+                        sum_busy += par.total_busy_s();
+                    }
                 },
-            });
-        }
+                reps,
+            );
+            (per, steals, max_busy, sum_busy)
+        });
+        let (per, steals, max_busy, sum_busy) = result[0];
+        let items_per_s = b as f64 / per;
+        sweep.push(Sweep {
+            threads,
+            items_per_s,
+            speedup_vs_seq: items_per_s / baseline,
+            steals: steals / reps as u64,
+            // max/mean worker busy time: 1.0 = perfectly balanced. One
+            // worker (the inline scan, which reports no per-worker
+            // breakdown) is trivially balanced.
+            worker_imbalance: if threads == 1 || sum_busy <= 0.0 {
+                1.0
+            } else {
+                max_busy / (sum_busy / threads as f64)
+            },
+        });
     }
 
     // --- stdout table ---------------------------------------------------
     println!("### fig_par_scaling — engine batch step, weighted, b = {b}, k = {K}");
     println!(
-        "host cores: {cores}; sequential baseline: {:.3e} items/s; \
+        "host cores: {cores}; one-worker reservoir baseline: {:.3e} items/s; \
          calibrated serial fraction: {:.3}",
         baseline, costs.par_serial_frac
     );
-    println!(
-        "\n| threads | pool | items/s | speedup vs seq | modeled | steals/batch | spawns/batch | imbalance |"
-    );
-    println!("|---|---|---|---|---|---|---|---|");
+    println!("\n| threads | items/s | speedup vs seq | modeled | steals/batch | imbalance |");
+    println!("|---|---|---|---|---|---|");
     for s in &sweep {
         println!(
-            "| {} | {} | {:.3e} | {:.2}x | {:.2}x | {} | {} | {:.2} |",
+            "| {} | {:.3e} | {:.2}x | {:.2}x | {} | {:.2} |",
             s.threads,
-            if s.persistent { "crew" } else { "scope" },
             s.items_per_s,
             s.speedup_vs_seq,
             costs.scan_speedup(s.threads as u64),
             s.steals,
-            s.spawns,
             s.worker_imbalance,
         );
     }
@@ -188,18 +168,14 @@ fn main() {
     for (i, s) in sweep.iter().enumerate() {
         let _ = writeln!(
             json,
-            "    {{\"threads\": {}, \"persistent\": {}, \
-             \"items_per_s\": {:.6e}, \
+            "    {{\"threads\": {}, \"items_per_s\": {:.6e}, \
              \"speedup_vs_seq\": {:.4}, \"modeled_speedup\": {:.4}, \
-             \"steals_per_batch\": {}, \"spawns_per_batch\": {}, \
-             \"worker_imbalance\": {:.4}}}{}",
+             \"steals_per_batch\": {}, \"worker_imbalance\": {:.4}}}{}",
             s.threads,
-            s.persistent,
             s.items_per_s,
             s.speedup_vs_seq,
             costs.scan_speedup(s.threads as u64),
             s.steals,
-            s.spawns,
             s.worker_imbalance,
             if i + 1 < sweep.len() { "," } else { "" },
         );

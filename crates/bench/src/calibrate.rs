@@ -11,7 +11,7 @@ use std::time::Instant;
 use reservoir_btree::{BPlusTree, SampleKey};
 use reservoir_core::dist::local::LocalReservoir;
 use reservoir_core::dist::sim::{amdahl_speedup, LocalCostModel};
-use reservoir_par::ParLocalReservoir;
+use reservoir_par::Pool;
 use reservoir_rng::{default_rng, Rng64};
 use reservoir_select::kth_smallest;
 use reservoir_stream::Item;
@@ -31,7 +31,7 @@ pub struct MeasuredLocalCosts {
     /// Seconds per rank query per log₂(tree size).
     pub rank_s: f64,
     /// Measured serial fraction of the parallel local scan (inverse-Amdahl
-    /// fit of a real `ParLocalReservoir` run against the sequential scan
+    /// fit of a real pooled `LocalReservoir` run against the inline scan
     /// on this machine; 1.0 when the host has a single core, i.e. no
     /// speedup available).
     pub par_serial_frac: f64,
@@ -115,14 +115,13 @@ pub fn calibrate(quick: bool) -> MeasuredLocalCosts {
             .map(|i| Item::new(i, rng.rand_oc() * 100.0))
             .collect();
         // A tiny threshold makes insertions negligible: we time the scan.
-        let mut reservoir = LocalReservoir::new(8, 32);
+        let mut reservoir = LocalReservoir::new(8, 32, Pool::new(1), 1);
         let reps = if b <= 100_000 { 8 } else { 2 };
-        let mut scan_rng = default_rng(1);
         // Warm the cache/branch predictors before timing.
-        let _ = reservoir.process_weighted(&items, Some(1e-7), &mut scan_rng);
+        let _ = reservoir.process_weighted(&items, Some(1e-7));
         let per = time(
             || {
-                let _ = reservoir.process_weighted(&items, Some(1e-7), &mut scan_rng);
+                let _ = reservoir.process_weighted(&items, Some(1e-7));
             },
             reps,
         ) / b as f64;
@@ -179,8 +178,8 @@ pub fn calibrate(quick: bool) -> MeasuredLocalCosts {
         / m as f64;
 
     // --- Parallel-scan serial fraction ---------------------------------
-    // Time the real chunked scan (reservoir-par) against the sequential
-    // scan on the same batch and invert Amdahl's law:
+    // Time the real chunked scan on a pool against the inline scan on the
+    // same batch and invert Amdahl's law:
     //   S(t) = 1 / (s + (1-s)/t)  ⇒  s = (t/S - 1) / (t - 1).
     // Always measure rather than consult `available_parallelism`:
     // container CPU quotas routinely report one core while still running
@@ -188,24 +187,22 @@ pub fn calibrate(quick: bool) -> MeasuredLocalCosts {
     // S ≈ 1 and records s ≈ 1.
     let probe_threads = 4u64;
     let (par_serial_frac, par_probe_threads) = {
-        // Big enough that the per-scope worker spawn cost (~100 µs)
-        // amortizes — the regime the knob is for; smaller batches stay on
-        // the sequential path anyway.
+        // Big enough that waking the crew and merging the chunk buffers
+        // amortize — the regime the knob is for.
         let b = if quick { 1_000_000u64 } else { 4_000_000 };
         let items: Vec<Item> = (0..b)
             .map(|i| Item::new(i, rng.rand_oc() * 100.0))
             .collect();
         let reps = if quick { 3 } else { 5 };
-        let mut seq_res = LocalReservoir::new(8, 32);
-        let mut seq_rng = default_rng(3);
-        let _ = seq_res.process_weighted(&items, Some(1e-7), &mut seq_rng);
+        let mut seq_res = LocalReservoir::new(8, 32, Pool::new(1), 3);
+        let _ = seq_res.process_weighted(&items, Some(1e-7));
         let seq_s = time(
             || {
-                let _ = seq_res.process_weighted(&items, Some(1e-7), &mut seq_rng);
+                let _ = seq_res.process_weighted(&items, Some(1e-7));
             },
             reps,
         );
-        let mut par_res = ParLocalReservoir::new(8, 32, probe_threads as usize, 3);
+        let mut par_res = LocalReservoir::new(8, 32, Pool::new(probe_threads as usize), 3);
         let _ = par_res.process_weighted(&items, Some(1e-7));
         let par_s = time(
             || {

@@ -32,6 +32,7 @@ use std::time::Instant;
 use reservoir_bench::calibrate;
 use reservoir_core::dist::local::LocalReservoir;
 use reservoir_core::dist::sim::{AnalyticLocalCosts, LocalCostModel};
+use reservoir_par::Pool;
 use reservoir_rng::{default_rng, Rng64};
 use reservoir_stream::Item;
 
@@ -58,13 +59,12 @@ fn stats_calibrated_fit_predicts_an_independent_scan_measurement() {
     let items: Vec<Item> = (0..b)
         .map(|i| Item::new(i, rng.rand_oc() * 100.0))
         .collect();
-    let mut reservoir = LocalReservoir::new(8, 32);
-    let mut scan_rng = default_rng(9);
-    let _ = reservoir.process_weighted(&items, Some(1e-7), &mut scan_rng); // warm-up
+    let mut reservoir = LocalReservoir::new(8, 32, Pool::new(1), 9);
+    let _ = reservoir.process_weighted(&items, Some(1e-7)); // warm-up
     let reps = 5;
     let start = Instant::now();
     for _ in 0..reps {
-        let _ = reservoir.process_weighted(&items, Some(1e-7), &mut scan_rng);
+        let _ = reservoir.process_weighted(&items, Some(1e-7));
     }
     let measured = start.elapsed().as_secs_f64() / reps as f64;
     let predicted = costs.scan_weighted(b);

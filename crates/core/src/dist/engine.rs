@@ -27,7 +27,7 @@
 //!
 //! | backend | substrate | insert | select |
 //! |---|---|---|---|
-//! | [`CommBackend`](crate::dist::threaded::CommBackend) | real [`Collectives`](reservoir_comm::Collectives) | jump scans into a [`PeReservoir`](crate::dist::local) | `select_threaded` over the wire |
+//! | [`CommBackend`](crate::dist::threaded::CommBackend) | real [`Collectives`](reservoir_comm::Collectives) | jump scans into a [`LocalReservoir`](crate::dist::local::LocalReservoir) | `select_threaded` over the wire |
 //! | [`GatherBackend`](crate::dist::gather::GatherBackend) | real collectives, root-funnel *policy* | jump scans + ship candidates to the root | sequential quickselect at the root, broadcast |
 //! | [`SimBackend`](crate::dist::sim::SimBackend) | α–β [`CostModel`](reservoir_comm::CostModel) | statistical (Poissonized) insertion, costs charged | `select_conductor` folds, costs charged |
 //!

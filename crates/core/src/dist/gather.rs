@@ -20,15 +20,16 @@ use std::time::Instant;
 
 use reservoir_btree::SampleKey;
 use reservoir_comm::{Collectives, Communicator};
+use reservoir_par::Pool;
 use reservoir_rng::{DefaultRng, SeedSequence, StreamKind};
 use reservoir_select::{kth_smallest, SelectResult, TargetRank};
 use reservoir_stream::ingest::MiniBatch;
 use reservoir_stream::Item;
 
 use crate::dist::engine::{Charge, InsertOutcome, Placement, ReservoirProtocol, SamplerBackend};
-use crate::dist::local::PeReservoir;
+use crate::dist::local::LocalReservoir;
 use crate::dist::output::SampleHandle;
-use crate::dist::{BatchReport, DistConfig, PipelineReport, SamplingMode, PAR_SCAN_STREAM};
+use crate::dist::{BatchReport, DistConfig, PipelineReport, SamplingMode};
 use crate::metrics::PhaseTimes;
 use crate::sample::SampleItem;
 
@@ -41,14 +42,13 @@ const ROOT: usize = 0;
 /// The engine's substrate under the Section 4.5 root-funnel policy.
 pub struct GatherBackend<'a, C: Communicator> {
     comm: &'a C,
-    /// Per-batch candidate buffer (drained after every gather); runs the
-    /// parallel chunked scan when `threads_per_pe > 1`.
-    scratch: PeReservoir,
+    /// Per-batch candidate buffer (drained after every gather), scanned
+    /// on a pool of `threads_per_pe` workers.
+    scratch: LocalReservoir,
     /// Reused per batch to drain `scratch` without a fresh allocation.
     drain_buf: Vec<SampleItem>,
     /// The global reservoir; non-empty only at the root.
     reservoir: Vec<(SampleKey, f64)>,
-    key_rng: DefaultRng,
     select_rng: DefaultRng,
     k: usize,
 }
@@ -63,14 +63,14 @@ impl<'a, C: Communicator> GatherBackend<'a, C> {
         );
         let seq = SeedSequence::new(cfg.seed);
         GatherBackend {
-            scratch: PeReservoir::for_config(
-                cfg,
+            scratch: LocalReservoir::for_pe(
                 cfg.k,
-                seq.seed_for(comm.rank(), StreamKind::Custom(PAR_SCAN_STREAM)),
+                Pool::new(cfg.threads_per_pe),
+                &seq,
+                comm.rank(),
             ),
             drain_buf: Vec::new(),
             reservoir: Vec::new(),
-            key_rng: seq.rng_for(comm.rank(), StreamKind::Keys),
             select_rng: seq.rng_for(comm.rank(), StreamKind::Selection),
             k: cfg.k,
             comm,
@@ -100,17 +100,14 @@ impl<C: Communicator> SamplerBackend for GatherBackend<'_, C> {
         times: &mut PhaseTimes,
     ) -> InsertOutcome {
         let t0 = Instant::now();
-        let outcome =
-            self.scratch
-                .process(mode, items, threshold.map(|k| k.key), &mut self.key_rng);
+        let mut stats = self.scratch.process(mode, items, threshold.map(|k| k.key));
         self.scratch.drain_into(&mut self.drain_buf);
         // The policy's contribution count is what ships to the root, not
         // the scan's gross insertion count (growing-phase evictions never
         // leave the scratch buffer).
-        let mut stats = outcome.stats;
         stats.inserted = self.drain_buf.len() as u64;
         times.insert += t0.elapsed().as_secs_f64();
-        times.par_scan += outcome.par_scan_max_s;
+        times.par_scan += self.scratch.last_scope_max_busy_s();
         let t1 = Instant::now();
         let wire: Vec<WireItem> = self
             .drain_buf

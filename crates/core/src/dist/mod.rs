@@ -59,11 +59,6 @@ pub enum SamplingMode {
     Uniform,
 }
 
-/// The seed-derivation stream of the parallel scan's per-chunk RNGs, kept
-/// distinct from [`reservoir_rng::StreamKind::Keys`] so the sequential and
-/// parallel paths never share raw generator state.
-pub(crate) const PAR_SCAN_STREAM: u16 = 0x5041; // "PA"
-
 /// Parse a `RESERVOIR_THREADS` value: a positive integer, surrounding
 /// whitespace tolerated.
 fn parse_threads(v: &str) -> Result<usize, String> {
@@ -119,8 +114,8 @@ fn parse_continuous(v: &str) -> Result<ContinuousMode, String> {
 }
 
 /// Read every sampler environment default in one validated pass:
-/// `RESERVOIR_THREADS` (the CI matrix sets 4 to run the suite down the
-/// parallel scan path), `RESERVOIR_CONTINUOUS` (the snapshot-stress job
+/// `RESERVOIR_THREADS` (the CI matrix sets 4 to run the suite's scans on
+/// per-PE worker crews), `RESERVOIR_CONTINUOUS` (the snapshot-stress job
 /// sets 1), and `RESERVOIR_OBS` (arms the `reservoir_obs` metrics registry
 /// and flight recorder; the CI obs job sets 1). All malformed variables
 /// are reported in a single panic message — a user with two typos fixes
@@ -172,16 +167,17 @@ pub struct DistConfig {
     /// to `k̄` before an *approximate* selection shrinks it back into the
     /// window. `None` keeps the size exactly `k`.
     pub size_window: Option<(u64, u64)>,
-    /// Worker threads each PE's local scan runs on (`reservoir_par`'s
-    /// work-stealing pool above 1; the classic sequential scan at 1). The
-    /// sampling law is identical either way. Constructors default this to
-    /// the `RESERVOIR_THREADS` environment variable, falling back to 1.
+    /// Worker threads each PE's local scan runs on: the calling thread
+    /// plus one crew of `threads_per_pe − 1` helpers per PE, shared by
+    /// every reservoir the PE drives. Batches of more than one chunk are
+    /// scanned chunk-parallel on the crew; at 1 (or for a one-chunk batch)
+    /// the same chunk kernels run inline on the calling thread. Chunks,
+    /// not workers, carry the RNG streams, so a fixed seed gives the same
+    /// sample at every value. Constructors default this to the
+    /// `RESERVOIR_THREADS` environment variable, falling back to 1.
     pub threads_per_pe: usize,
-    /// Reuse one persistent worker crew (`reservoir_par::Pool::persistent`)
-    /// across every batch scan instead of spawning helpers per scope —
-    /// worthwhile when mini-batches are too small to amortize the ~100 µs
-    /// per-helper spawn cost. No effect at `threads_per_pe == 1`; the
-    /// sample is identical either way (see `ScanStats::spawns`).
+    /// Retired and inert; the frozen benchmark harness is its only user.
+    #[doc(hidden)]
     pub persistent_pool: bool,
     /// Whether the engine publishes an always-fresh sample epoch per
     /// batch step for concurrent snapshot readers. Constructors default
@@ -244,15 +240,15 @@ impl DistConfig {
     }
 
     /// Run every PE's local scan on `t` worker threads (overrides the
-    /// `RESERVOIR_THREADS` default). `1` selects the sequential scan.
+    /// `RESERVOIR_THREADS` default). `1` scans on the calling thread only.
     pub fn with_threads(mut self, t: usize) -> Self {
         assert!(t >= 1, "at least one scan thread per PE");
         self.threads_per_pe = t;
         self
     }
 
-    /// Keep one persistent scan-worker crew alive across batches instead
-    /// of spawning helper threads per batch (`threads_per_pe > 1` only).
+    /// Retired and inert; the frozen benchmark harness is its only user.
+    #[doc(hidden)]
     pub fn with_persistent_pool(mut self, persistent: bool) -> Self {
         self.persistent_pool = persistent;
         self
@@ -318,8 +314,8 @@ pub struct BatchReport {
     pub select_rounds: u32,
     /// Items inserted into *this PE's* local reservoir during the batch.
     pub inserted: u64,
-    /// The local scan's work counters for this batch, including the
-    /// parallel path's chunk and steal counts.
+    /// The local scan's work counters for this batch, including its
+    /// chunk and steal counts.
     pub scan: local::ScanStats,
     /// Wall-clock seconds this batch spent per algorithm phase on this PE
     /// (`ingest` is always 0 here; it accrues in the `run_pipeline`
@@ -327,7 +323,7 @@ pub struct BatchReport {
     /// [`ContinuousMode::EveryBatch`], where each step's epoch
     /// publication bills its finalize/place sequence here).
     /// `times.par_scan` carries the busiest scan worker's seconds when
-    /// `threads_per_pe > 1`.
+    /// the batch was scanned on the PE's pool (0 for inline scans).
     pub times: crate::metrics::PhaseTimes,
 }
 
@@ -401,10 +397,7 @@ mod tests {
         assert_eq!(v.size_limit(), 25);
         let t = DistConfig::weighted(10, 1).with_threads(4);
         assert_eq!(t.threads_per_pe, 4);
-        assert!(!t.persistent_pool);
-        let p = t.with_persistent_pool(true);
-        assert!(p.persistent_pool);
-        let s = p.with_continuous(ContinuousMode::EveryBatch);
+        let s = t.with_continuous(ContinuousMode::EveryBatch);
         assert_eq!(s.continuous, ContinuousMode::EveryBatch);
         assert_eq!(
             s.with_continuous(ContinuousMode::Disabled).continuous,

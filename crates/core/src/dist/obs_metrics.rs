@@ -1,5 +1,5 @@
 //! The engine layer's registry names: per-batch protocol counters, the
-//! parallel-scan tallies (views of [`ScanStats`]), and the accumulated
+//! local-scan tallies (views of [`ScanStats`]), and the accumulated
 //! per-phase seconds (views of [`PhaseTimes`]). One `record_step` hook
 //! keeps the engine's hot path to a single early-out branch when
 //! observability is disarmed.
@@ -28,15 +28,11 @@ pub(crate) static ENGINE_EPOCHS: LazyCounter = LazyCounter::new(
 
 pub(crate) static SCAN_CHUNKS: LazyCounter = LazyCounter::new(
     "scan_chunks_total",
-    "chunks the parallel scans split batches into (0 on sequential scans)",
+    "chunks the local scans split batches into, one RNG stream each",
 );
 pub(crate) static SCAN_STEALS: LazyCounter = LazyCounter::new(
     "scan_steals_total",
     "scan chunk tasks stolen across pool workers",
-);
-pub(crate) static SCAN_SPAWNS: LazyCounter = LazyCounter::new(
-    "scan_spawns_total",
-    "OS threads spawned for batch scans (0 with a persistent crew)",
 );
 pub(crate) static SCAN_INSERTED: LazyCounter = LazyCounter::new(
     "scan_inserted_total",
@@ -100,7 +96,6 @@ pub(crate) fn record_step(
     }
     SCAN_CHUNKS.add(stats.chunks);
     SCAN_STEALS.add(stats.steals);
-    SCAN_SPAWNS.add(stats.spawns);
     SCAN_INSERTED.add(stats.inserted);
     record_phases(times);
     trace::emit(pe, TraceKind::BatchEnd, seq, union);

@@ -9,9 +9,11 @@
 //! [`ShardedSampler`] collapses that to a **batched schedule**:
 //!
 //! 1. **route + scan** — each record goes to its shard's
-//!    [`PeReservoir`] (sequential or parallel local scan — each shard is
-//!    a full per-PE reservoir) below that shard's own threshold. Local,
-//!    no communication.
+//!    [`LocalReservoir`] (each shard is a full per-PE reservoir; all of
+//!    a PE's shards scan on its one worker crew) below that shard's own
+//!    threshold. Local, no communication. A shard whose bucket is empty
+//!    on every PE skips its scan and step altogether (the sparse-batch
+//!    fast path, below).
 //! 2. **batched count** — ONE vectorized all-reduce
 //!    (`sum_u64_vec` over the `S`-entry vector of per-shard local
 //!    sizes) replaces S scalar count rounds.
@@ -55,9 +57,10 @@ use reservoir_stream::ingest::MiniBatch;
 use reservoir_stream::{Item, ShardRouter};
 
 use reservoir_obs::LazyCounter;
+use reservoir_par::Pool;
 
 use crate::dist::engine::{Charge, InsertOutcome, Placement, ReservoirProtocol, SamplerBackend};
-use crate::dist::local::{PeReservoir, ScanStats};
+use crate::dist::local::{LocalReservoir, ScanStats};
 
 /// Batched supersteps driven across whole shard fleets.
 static SHARDED_BATCHES: LazyCounter = LazyCounter::new(
@@ -83,7 +86,7 @@ static SHARDED_SPARSE_SKIPS: LazyCounter = LazyCounter::new(
 use crate::dist::output::SampleHandle;
 use crate::dist::snapshot::SnapshotReader;
 use crate::dist::threaded::stream_seq;
-use crate::dist::{BatchReport, ContinuousMode, DistConfig, SamplingMode, PAR_SCAN_STREAM};
+use crate::dist::{BatchReport, ContinuousMode, DistConfig, SamplingMode};
 use crate::metrics::PhaseTimes;
 use crate::sample::SampleItem;
 
@@ -135,28 +138,24 @@ struct ShardPlan {
     placement: Option<(u64, Placement, f64)>,
 }
 
-/// One shard's endpoint of the engine: a real [`PeReservoir`] and real
+/// One shard's endpoint of the engine: a real [`LocalReservoir`] and real
 /// RNG streams (byte-compatible with a standalone sampler under
 /// [`shard_seed`]), but every collective step served from the driver's
 /// batched [`ShardPlan`] instead of a per-shard wire round.
 pub struct ShardEndpoint<'a, C: Communicator> {
     comm: &'a C,
-    local: PeReservoir,
-    key_rng: DefaultRng,
+    local: LocalReservoir,
     select_rng: DefaultRng,
     plan: ShardPlan,
 }
 
 impl<'a, C: Communicator> ShardEndpoint<'a, C> {
-    fn new(comm: &'a C, cfg: &DistConfig) -> Self {
+    /// The endpoint of one shard configured as `cfg`, scanning on the
+    /// PE's shared `pool`.
+    fn new(comm: &'a C, cfg: &DistConfig, pool: &Pool) -> Self {
         let seq = stream_seq(cfg);
         ShardEndpoint {
-            local: PeReservoir::for_config(
-                cfg,
-                cfg.local_cap(),
-                seq.seed_for(comm.rank(), StreamKind::Custom(PAR_SCAN_STREAM)),
-            ),
-            key_rng: seq.rng_for(comm.rank(), StreamKind::Keys),
+            local: LocalReservoir::for_pe(cfg.local_cap(), pool.clone(), &seq, comm.rank()),
             select_rng: seq.rng_for(comm.rank(), StreamKind::Selection),
             plan: ShardPlan::default(),
             comm,
@@ -167,13 +166,11 @@ impl<'a, C: Communicator> ShardEndpoint<'a, C> {
     /// batched count collective can cover every shard's post-scan size.
     fn scan(&mut self, mode: SamplingMode, items: &[Item], threshold: Option<SampleKey>) {
         let t0 = Instant::now();
-        let outcome = self
-            .local
-            .process(mode, items, threshold.map(|k| k.key), &mut self.key_rng);
+        let stats = self.local.process(mode, items, threshold.map(|k| k.key));
         let planned = PlannedScan {
-            stats: outcome.stats,
+            stats,
             insert_s: t0.elapsed().as_secs_f64(),
-            par_scan_max_s: outcome.par_scan_max_s,
+            par_scan_max_s: self.local.last_scope_max_busy_s(),
         };
         let stale = self.plan.scan.replace(planned);
         assert!(
@@ -370,12 +367,14 @@ pub struct ShardedPipelineReport {
 /// supported, but not combined with continuous snapshots (the step-time
 /// publication of an over-`k` window would need an extra planned
 /// selection; single-tenant samplers cover that case).
+///
+/// The fleet steps its shards one at a time, so each PE builds one pool
+/// of `cfg.threads_per_pe` workers and every shard's reservoir scans on
+/// its crew: `threads_per_pe − 1` helper threads per PE, whatever the
+/// shard count.
 pub struct ShardedSampler<'a, C: Communicator> {
     comm: &'a C,
     engines: Vec<ReservoirProtocol<ShardEndpoint<'a, C>>>,
-    /// Skip scan/plan/step for shards whose bucket is empty fleet-wide
-    /// (on by default; [`Self::with_sparse_skip`]).
-    sparse_skip: bool,
 }
 
 impl<'a, C: Communicator> ShardedSampler<'a, C> {
@@ -387,29 +386,23 @@ impl<'a, C: Communicator> ShardedSampler<'a, C> {
             cfg.size_window.is_none() || cfg.continuous == ContinuousMode::Disabled,
             "sharded sampling supports a size window or continuous snapshots, not both"
         );
+        let pool = Pool::new(cfg.threads_per_pe);
         let engines = (0..shards)
             .map(|s| {
                 let shard_cfg = DistConfig {
                     seed: shard_seed(cfg.seed, s),
                     ..cfg
                 };
-                ReservoirProtocol::new(ShardEndpoint::new(comm, &shard_cfg), shard_cfg)
+                ReservoirProtocol::new(ShardEndpoint::new(comm, &shard_cfg, &pool), shard_cfg)
             })
             .collect();
-        ShardedSampler {
-            comm,
-            engines,
-            sparse_skip: true,
-        }
+        ShardedSampler { comm, engines }
     }
 
-    /// Toggle the sparse-batch fast path (default **on**). Collective:
-    /// every PE must pass the same value, since the skip decision gates
-    /// which shards join the planned collectives. Turning it off makes
-    /// every superstep step every engine, exactly the pre-skip schedule;
-    /// the per-shard samples are byte-identical either way.
-    pub fn with_sparse_skip(mut self, on: bool) -> Self {
-        self.sparse_skip = on;
+    /// Retired and inert (the sparse skip is unconditional); the frozen
+    /// benchmark harness is its only user.
+    #[doc(hidden)]
+    pub fn with_sparse_skip(self, _on: bool) -> Self {
         self
     }
 
@@ -446,15 +439,15 @@ impl<'a, C: Communicator> ShardedSampler<'a, C> {
         let s_count = self.engines.len();
         assert_eq!(buckets.len(), s_count, "one bucket per shard");
 
-        // Phase 1 — real per-shard scans, local. Under the sparse fast
-        // path a shard with an empty *local* bucket defers its scan: the
-        // batched count below reveals whether the bucket was empty
-        // fleet-wide (skip the shard entirely) or only here (run the
-        // empty scan then, to keep the engine schedule aligned with the
-        // standalone sampler). An empty scan never changes the local
-        // length, so the deferred shards' count words are still correct.
+        // Phase 1 — real per-shard scans, local. A shard with an empty
+        // *local* bucket defers its scan: the batched count below reveals
+        // whether the bucket was empty fleet-wide (skip the shard
+        // entirely) or only here (run the empty scan then, to keep the
+        // engine schedule aligned with the standalone sampler). An empty
+        // scan never changes the local length, so the deferred shards'
+        // count words are still correct.
         for (s, bucket) in buckets.iter().enumerate() {
-            if self.sparse_skip && bucket.is_empty() {
+            if bucket.is_empty() {
                 continue;
             }
             let threshold = self.engines[s].threshold_key();
@@ -462,19 +455,17 @@ impl<'a, C: Communicator> ShardedSampler<'a, C> {
             self.engines[s].backend_mut().scan(mode, bucket, threshold);
         }
 
-        // Phase 2 — ONE vectorized count across all shards. With the
-        // sparse fast path the same launch also carries the per-shard
-        // bucket lengths (2S words instead of S, still one collective),
-        // so every PE agrees on which shards saw no records anywhere.
+        // Phase 2 — ONE vectorized count across all shards. The same
+        // launch also carries the per-shard bucket lengths (2S words, still
+        // one collective), so every PE agrees on which shards saw no
+        // records anywhere.
         let t0 = Instant::now();
-        let mut words: Vec<u64> = self
+        let words: Vec<u64> = self
             .engines
             .iter()
             .map(|e| e.backend().local.len())
+            .chain(buckets.iter().map(|b| b.len() as u64))
             .collect();
-        if self.sparse_skip {
-            words.extend(buckets.iter().map(|b| b.len() as u64));
-        }
         let sums = self.comm.sum_u64_vec(words);
         let unions = &sums[..s_count];
         let count_share = t0.elapsed().as_secs_f64() / s_count as f64;
@@ -484,15 +475,13 @@ impl<'a, C: Communicator> ShardedSampler<'a, C> {
         // (unchanged) union does not trigger a selection — deterministic
         // from collective data, so the fleet agrees without extra wire.
         let skipped: Vec<bool> = (0..s_count)
-            .map(|s| {
-                self.sparse_skip && sums[s_count + s] == 0 && !self.engines[s].select_now(unions[s])
-            })
+            .map(|s| sums[s_count + s] == 0 && !self.engines[s].select_now(unions[s]))
             .collect();
         for s in 0..s_count {
             if skipped[s] {
                 continue;
             }
-            if self.sparse_skip && buckets[s].is_empty() {
+            if buckets[s].is_empty() {
                 // Deferred in phase 1 but not skipped (nonempty
                 // elsewhere, or a pending selection): run the empty scan
                 // now so the engine's insert step finds its plan.
@@ -607,9 +596,8 @@ impl<'a, C: Communicator> ShardedSampler<'a, C> {
         // plan. The only remaining work is local (replayed insert,
         // prune, publication extract). A skipped shard's engine does not
         // step at all — its reservoir just accounts for the empty batch
-        // (a batch-counter bump on the parallel paths, nothing on the
-        // sequential one), which is exactly the state change processing
-        // the empty bucket would have caused.
+        // (a batch-counter bump), which is exactly the state change
+        // processing the empty bucket would have caused.
         let mut shards_skipped = 0usize;
         let per_shard: Vec<BatchReport> = (0..s_count)
             .map(|s| {
@@ -789,6 +777,34 @@ impl<'a, C: Communicator> ShardedSampler<'a, C> {
             solo_select_rounds: solo,
             collective_calls: calls,
             handles,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use reservoir_comm::run_threads;
+
+    #[test]
+    fn every_shard_of_a_fleet_scans_on_the_pes_one_crew() {
+        // Pointer equality, not an OS thread count: the harness runs
+        // tests concurrently.
+        for threads in [1usize, 4] {
+            run_threads(1, |comm| {
+                let cfg = DistConfig::weighted(8, 3).with_threads(threads);
+                let fleet = ShardedSampler::new(&comm, cfg, 16);
+                let first = fleet.engines[0].backend().local.pool();
+                assert_eq!(first.helpers(), threads - 1);
+                for engine in &fleet.engines {
+                    let pool = engine.backend().local.pool();
+                    assert_eq!(
+                        pool.shares_crew_with(first),
+                        threads > 1,
+                        "threads={threads}: a shard scans outside the PE's crew"
+                    );
+                }
+            });
         }
     }
 }

@@ -181,8 +181,9 @@ pub struct SimConfig {
     /// Worker threads each simulated PE's local scan runs on: the scan +
     /// key-generation charge is divided by
     /// [`LocalCostModel::scan_speedup`], modeling multicore PEs running
-    /// `reservoir_par`'s chunked scan. The statistical behaviour is
-    /// unchanged (the real parallel scan preserves the law exactly).
+    /// the chunked local scan on their worker crews. The statistical
+    /// behaviour is unchanged (the real scan draws the same sample at
+    /// every width).
     pub threads_per_pe: usize,
     /// Variable-size window `(k, k̄)` of Section 4.4: the sample may grow
     /// to `k̄` before an *approximate* selection shrinks it back into the

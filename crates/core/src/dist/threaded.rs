@@ -3,7 +3,7 @@
 //!
 //! The protocol body lives in [`crate::dist::engine`]; this module
 //! supplies the substrate — [`CommBackend`], which scans a real
-//! [`PeReservoir`] and runs each engine step over the wire (`sum_u64`,
+//! [`LocalReservoir`] and runs each engine step over the wire (`sum_u64`,
 //! `select_threaded`, `exscan`), measuring wall-clock into the phase slot
 //! the engine names — and keeps `DistributedSampler` as the thin
 //! stable-API wrapper over `ReservoirProtocol<CommBackend>`.
@@ -18,15 +18,16 @@ use std::time::Instant;
 
 use reservoir_btree::SampleKey;
 use reservoir_comm::{Collectives, Communicator};
+use reservoir_par::{Pool, ScopeReport};
 use reservoir_rng::{DefaultRng, SeedSequence, StreamKind};
 use reservoir_select::{select_threaded, SelectParams, SelectResult, TargetRank};
 use reservoir_stream::ingest::MiniBatch;
 use reservoir_stream::Item;
 
 use crate::dist::engine::{Charge, InsertOutcome, Placement, ReservoirProtocol, SamplerBackend};
-use crate::dist::local::PeReservoir;
+use crate::dist::local::LocalReservoir;
 use crate::dist::output::SampleHandle;
-use crate::dist::{BatchReport, DistConfig, PipelineReport, SamplingMode, PAR_SCAN_STREAM};
+use crate::dist::{BatchReport, DistConfig, PipelineReport, SamplingMode};
 use crate::metrics::PhaseTimes;
 use crate::sample::SampleItem;
 
@@ -44,32 +45,30 @@ pub(crate) fn stream_seq(cfg: &DistConfig) -> SeedSequence {
 }
 
 /// One PE's endpoint of the engine over real collectives: a
-/// [`PeReservoir`] fed by jump scans, distributed selection over the
+/// [`LocalReservoir`] fed by jump scans, distributed selection over the
 /// wire, wall-clock phase measurement.
 pub struct CommBackend<'a, C: Communicator> {
     comm: &'a C,
-    local: PeReservoir,
-    key_rng: DefaultRng,
+    local: LocalReservoir,
     select_rng: DefaultRng,
-    last_par: Option<reservoir_par::ParScanStats>,
 }
 
 impl<'a, C: Communicator> CommBackend<'a, C> {
     /// Build this PE's backend for `cfg`. The master seed is salted with
     /// the sample size so samplers of different geometry draw independent
     /// streams even under the same user seed (the derivation
-    /// [`DistributedSampler`] has always used).
+    /// [`DistributedSampler`] has always used). The PE's scans run on a
+    /// pool of `cfg.threads_per_pe` workers.
     pub fn new(comm: &'a C, cfg: &DistConfig) -> Self {
         let seq = stream_seq(cfg);
         CommBackend {
-            local: PeReservoir::for_config(
-                cfg,
+            local: LocalReservoir::for_pe(
                 cfg.local_cap(),
-                seq.seed_for(comm.rank(), StreamKind::Custom(PAR_SCAN_STREAM)),
+                Pool::new(cfg.threads_per_pe),
+                &seq,
+                comm.rank(),
             ),
-            key_rng: seq.rng_for(comm.rank(), StreamKind::Keys),
             select_rng: seq.rng_for(comm.rank(), StreamKind::Selection),
-            last_par: None,
             comm,
         }
     }
@@ -79,10 +78,11 @@ impl<'a, C: Communicator> CommBackend<'a, C> {
         self.comm
     }
 
-    /// The parallel scan's per-worker breakdown for the most recent batch
-    /// (`None` at one thread per PE, or before the first batch).
-    pub fn last_par_scan(&self) -> Option<&reservoir_par::ParScanStats> {
-        self.last_par.as_ref()
+    /// The pool's per-worker report for the most recent batch (`None`
+    /// when the batch was scanned inline — one thread per PE or one chunk
+    /// — or before the first batch).
+    pub fn last_par_scan(&self) -> Option<&ScopeReport> {
+        self.local.last_scope()
     }
 
     /// This PE's sample members.
@@ -100,15 +100,10 @@ impl<C: Communicator> SamplerBackend for CommBackend<'_, C> {
         times: &mut PhaseTimes,
     ) -> InsertOutcome {
         let t0 = Instant::now();
-        let outcome = self
-            .local
-            .process(mode, items, threshold.map(|k| k.key), &mut self.key_rng);
+        let stats = self.local.process(mode, items, threshold.map(|k| k.key));
         times.insert += t0.elapsed().as_secs_f64();
-        times.par_scan += outcome.par_scan_max_s;
-        self.last_par = outcome.par;
-        InsertOutcome {
-            stats: outcome.stats,
-        }
+        times.par_scan += self.local.last_scope_max_busy_s();
+        InsertOutcome { stats }
     }
 
     fn count(&mut self, times: &mut PhaseTimes, charge: Charge) -> u64 {
@@ -210,9 +205,9 @@ impl<'a, C: Communicator> DistributedSampler<'a, C> {
         self.engine.step(items)
     }
 
-    /// The parallel scan's per-worker breakdown for the most recent batch
-    /// (`None` at one thread per PE, or before the first batch).
-    pub fn last_par_scan(&self) -> Option<&reservoir_par::ParScanStats> {
+    /// The pool's per-worker report for the most recent batch (`None`
+    /// when the batch was scanned inline, or before the first batch).
+    pub fn last_par_scan(&self) -> Option<&ScopeReport> {
         self.engine.backend().last_par_scan()
     }
 
@@ -572,32 +567,30 @@ mod tests {
 
     #[test]
     fn persistent_pool_matches_per_scope_pool_bit_for_bit() {
-        // The worker strategy is invisible to the protocol: same seed ⇒
-        // same sample, only the spawn accounting changes.
-        let run = |persistent: bool| {
+        // The worker crew is invisible to the protocol: three-chunk batches
+        // run pooled at 4 threads and inline at 1, and the same seed draws
+        // the same sample bit for bit. A one-thread PE starts no helper
+        // thread; a four-thread PE keeps one crew of three.
+        let run = |threads: usize| {
             run_threads(2, move |comm| {
-                let cfg = DistConfig::weighted(30, 41)
-                    .with_threads(4)
-                    .with_persistent_pool(persistent);
+                let cfg = DistConfig::weighted(30, 41).with_threads(threads);
                 let mut s = DistributedSampler::new(&comm, cfg);
-                let mut spawns = 0u64;
+                assert_eq!(s.engine().backend().local.pool().helpers(), threads - 1);
+                let mut pooled = 0;
                 for b in 0..3u64 {
-                    spawns += s
-                        .process_batch(&unit_batch(comm.rank(), b, 400))
-                        .scan
-                        .spawns;
+                    s.process_batch(&unit_batch(comm.rank(), b, 10_000));
+                    pooled += s.last_par_scan().is_some() as u32;
                 }
-                let mut ids: Vec<u64> = s.local_sample().iter().map(|m| m.id).collect();
-                ids.sort_unstable();
-                (ids, spawns)
+                assert_eq!(pooled, if threads > 1 { 3 } else { 0 });
+                let mut members: Vec<(u64, u64)> = s
+                    .local_sample()
+                    .iter()
+                    .map(|m| (m.id, m.key.to_bits()))
+                    .collect();
+                members.sort_unstable();
+                (members, s.threshold().map(f64::to_bits))
             })
         };
-        let per_scope = run(false);
-        let crew = run(true);
-        for ((a, sa), (b, sb)) in per_scope.iter().zip(&crew) {
-            assert_eq!(a, b, "pool strategy changed the sample");
-            assert_eq!(*sa, 9, "per-scope: 3 spawns per batch × 3 batches");
-            assert_eq!(*sb, 0, "persistent crew spawns nothing per batch");
-        }
+        assert_eq!(run(1), run(4), "the pool changed the sample");
     }
 }

@@ -43,6 +43,9 @@ pub mod metrics;
 pub mod sample;
 pub mod seq;
 
+#[cfg(test)]
+mod reservoir;
+
 pub use dist::{DistConfig, PipelineReport, SampleHandle, SamplingMode};
 pub use metrics::{PhaseFractions, PhaseTimes};
 pub use sample::SampleItem;

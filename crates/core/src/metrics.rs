@@ -28,8 +28,8 @@ pub struct PhaseTimes {
     /// prefix counts that assign every PE its slice of the global sample.
     pub output: f64,
     /// Seconds the busiest worker spent jump-scanning inside the parallel
-    /// region of the insert phase (`threads_per_pe > 1` only; 0 on the
-    /// sequential path). This time *overlaps* `insert` wall-clock time, so
+    /// region of the insert phase (batches scanned on the PE's pool only;
+    /// 0 for inline scans). This time *overlaps* `insert` wall-clock time, so
     /// it is excluded from [`Self::total`] and [`Self::fractions`] — use
     /// `par_scan / insert` as the parallel region's share of the insert
     /// phase.

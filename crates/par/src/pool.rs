@@ -4,33 +4,26 @@
 //!
 //! Design: [`Pool::scope`] collects tasks into per-worker FIFO deques
 //! (round-robin at spawn time), then runs them on `threads` workers — the
-//! calling thread plus `threads − 1` helpers. A worker pops its own deque
-//! from the front and, when dry, **steals from the back** of a victim's
-//! deque; steals are counted and reported. Tasks may spawn further tasks
-//! (they receive the [`Scope`]); the scope returns only when every task
-//! has finished. A panicking task poisons the scope — the other workers
-//! bail out and the panic resumes on the caller once every worker has
-//! left the scope.
+//! calling thread plus the `threads − 1` helpers of a crew that
+//! [`Pool::new`] spawns once and parks on a condvar between scopes. A
+//! worker pops its own deque from the front and, when dry, **steals from
+//! the back** of a victim's deque; steals are counted and reported. Tasks
+//! may spawn further tasks (they receive the [`Scope`]); the scope returns
+//! only when every task has finished. A panicking task poisons the scope —
+//! the other workers bail out and the panic resumes on the caller once
+//! every worker has left the scope, leaving the crew serving.
 //!
-//! Two worker strategies share the execution path:
+//! Clones share one crew and their scopes take turns. A scope opened from
+//! inside a task that already runs on the same crew cannot wait for the
+//! crew (which is busy with the outer scope), so it runs on its calling
+//! thread alone.
 //!
-//! * [`Pool::new`] spawns helpers per [`Pool::scope`] call through
-//!   `std::thread::scope` — zero idle threads, but each scope pays the
-//!   OS spawn cost (~100 µs per helper), which dominates small batches.
-//! * [`Pool::persistent`] keeps a crew of parked helper threads alive for
-//!   the pool's lifetime and wakes them per scope over a condvar — the
-//!   per-scope spawn count drops to zero (reported in
-//!   [`ScopeReport::spawns`]), which is the knob the streaming samplers
-//!   use when mini-batches are too small to amortize per-scope spawning.
-//!
-//! Safety of the persistent crew: the caller publishes a type-erased
-//! pointer to the [`Scope`] under the crew mutex, helpers register
-//! themselves (`working += 1`) under that same mutex before dereferencing
-//! it, and the caller blocks until the job is retracted **and** `working`
-//! is back to zero before the scope frame is allowed to unwind — so no
-//! helper can touch the scope after it dies. Task panics are caught on
-//! whichever worker runs them and resume on the caller once the scope is
-//! quiescent, leaving crew threads alive.
+//! Safety of the crew hand-off: the caller publishes a type-erased pointer
+//! to the [`Scope`] under the crew mutex, helpers register themselves
+//! (`working += 1`) under that same mutex before dereferencing it, and the
+//! caller blocks until the job is retracted **and** `working` is back to
+//! zero before the scope frame is allowed to unwind — so no helper can
+//! touch the scope after it dies.
 
 use std::any::Any;
 use std::collections::VecDeque;
@@ -60,10 +53,6 @@ pub struct ScopeReport {
     pub tasks: u64,
     /// Tasks a worker took from another worker's deque.
     pub steals: u64,
-    /// OS threads spawned for this scope: `threads − 1` on a per-scope
-    /// pool, 0 on a persistent crew (its helpers were spawned once at
-    /// [`Pool::persistent`] time).
-    pub spawns: u64,
     /// Seconds each worker spent executing tasks (index = worker id; the
     /// calling thread is worker 0). Idle spinning is not counted.
     pub worker_busy_s: Vec<f64>,
@@ -177,9 +166,8 @@ impl<'scope> Scope<'scope> {
 
     /// Worker loop: run tasks until none are pending anywhere (or the
     /// scope was poisoned by a panic). Task panics are caught here — the
-    /// first payload is stashed for the caller to resume — so the loop
-    /// works unchanged on per-scope threads and on persistent crew
-    /// threads, which must outlive a panicking scope.
+    /// first payload is stashed for the caller to resume — so crew
+    /// threads outlive a panicking scope.
     fn work(&self, me: usize) {
         let mut busy = 0.0f64;
         let mut idle_spins = 0u32;
@@ -225,7 +213,6 @@ impl<'scope> Scope<'scope> {
         ScopeReport {
             tasks: self.executed.load(Ordering::Relaxed),
             steals: self.steals.load(Ordering::Relaxed),
-            spawns: 0,
             worker_busy_s: self
                 .busy_s
                 .iter()
@@ -235,9 +222,9 @@ impl<'scope> Scope<'scope> {
     }
 }
 
-/// The job a persistent crew's helpers run: a type-erased pointer to the
-/// live [`Scope`] plus the epoch that distinguishes it from the previous
-/// scope. Helpers only dereference the pointer between job publication and
+/// The job a crew's helpers run: a type-erased pointer to the live
+/// [`Scope`] plus the epoch that distinguishes it from the previous scope.
+/// Helpers only dereference the pointer between job publication and
 /// retraction, both of which happen under the crew mutex.
 #[derive(Clone, Copy)]
 struct CrewJob {
@@ -245,11 +232,12 @@ struct CrewJob {
     epoch: u64,
 }
 
-// The pointer is only handed between threads under the crew's mutex and
-// the caller outlives every dereference (see `scope_persistent`).
+// SAFETY: the only field that is not `Send` is the scope pointer. It is
+// handed between threads only under the crew's mutex, and the caller
+// keeps the scope alive until every helper has signed off (`Crew::run`).
 unsafe impl Send for CrewJob {}
 
-/// State shared between a persistent crew's caller and helper threads.
+/// State shared between a crew's callers and helper threads.
 struct CrewShared {
     state: Mutex<CrewState>,
     /// Wakes helpers when a job is published (or shutdown is requested).
@@ -263,8 +251,7 @@ thread_local! {
     /// helper side). A nested `Pool::scope` on the same crew would
     /// deadlock — the inner publish waits for the outer job to drain,
     /// which waits for the nested task to finish — so `scope` consults
-    /// this stack and falls back to per-scope helpers for reentrant
-    /// calls, matching `Pool::new` semantics.
+    /// this stack and runs reentrant calls on the calling thread.
     static ACTIVE_CREWS: std::cell::RefCell<Vec<*const CrewShared>> =
         const { std::cell::RefCell::new(Vec::new()) };
 }
@@ -296,24 +283,27 @@ impl Drop for CrewActivation {
 
 struct CrewState {
     job: Option<CrewJob>,
+    /// Epoch of the most recently published job.
+    epoch: u64,
     /// Helpers currently inside the published scope.
     working: usize,
     shutdown: bool,
 }
 
-/// The long-lived helper threads of a [`Pool::persistent`] pool. Dropping
-/// the last `Pool` clone shuts the crew down and joins every helper.
-struct PersistentCrew {
+/// The long-lived helper threads of a [`Pool`]. Dropping the last `Pool`
+/// clone shuts the crew down and joins every helper.
+struct Crew {
     shared: Arc<CrewShared>,
     handles: Vec<JoinHandle<()>>,
 }
 
-impl PersistentCrew {
+impl Crew {
     /// Spawn `threads − 1` helpers (worker ids `1..threads`).
-    fn spawn(threads: usize) -> PersistentCrew {
+    fn spawn(threads: usize) -> Crew {
         let shared = Arc::new(CrewShared {
             state: Mutex::new(CrewState {
                 job: None,
+                epoch: 0,
                 working: 0,
                 shutdown: false,
             }),
@@ -326,11 +316,45 @@ impl PersistentCrew {
                 std::thread::spawn(move || helper_loop(&shared, w))
             })
             .collect();
-        PersistentCrew { shared, handles }
+        Crew { shared, handles }
+    }
+
+    /// Publish `scope` to the crew, work it from the calling thread too,
+    /// then retract the job and wait until every helper has signed off —
+    /// only then may the scope die.
+    fn run(&self, scope: &Scope<'_>) {
+        let shared = &*self.shared;
+        let _active = CrewActivation::enter(shared);
+        {
+            let mut st = shared.state.lock().expect("crew state poisoned");
+            // Pool clones share the crew; serialize scopes so one job's
+            // pointer can never clobber another's.
+            while st.job.is_some() || st.working > 0 {
+                st = shared.done_cv.wait(st).expect("crew state poisoned");
+            }
+            st.epoch += 1;
+            st.job = Some(CrewJob {
+                scope: scope as *const Scope<'_> as *const (),
+                epoch: st.epoch,
+            });
+        }
+        shared.job_cv.notify_all();
+        scope.work(0);
+        // The caller's worker loop only returns once no tasks are pending,
+        // but helpers may still be inside (or just entering) the scope:
+        // retract the job so late wakers skip it, then wait them out.
+        let mut st = shared.state.lock().expect("crew state poisoned");
+        st.job = None;
+        while st.working > 0 {
+            st = shared.done_cv.wait(st).expect("crew state poisoned");
+        }
+        drop(st);
+        // A sibling clone may be parked in the pre-publish wait above.
+        shared.done_cv.notify_all();
     }
 }
 
-impl Drop for PersistentCrew {
+impl Drop for Crew {
     fn drop(&mut self) {
         {
             let mut st = self.shared.state.lock().expect("crew state poisoned");
@@ -343,8 +367,8 @@ impl Drop for PersistentCrew {
     }
 }
 
-/// A persistent helper: park on the condvar, register into each published
-/// job under the lock, run the scope's worker loop, sign off.
+/// A crew helper: park on the condvar, register into each published job
+/// under the lock, run the scope's worker loop, sign off.
 fn helper_loop(shared: &CrewShared, me: usize) {
     let mut last_epoch = 0u64;
     loop {
@@ -381,52 +405,33 @@ fn helper_loop(shared: &CrewShared, me: usize) {
     }
 }
 
-/// A fixed-width scoped thread pool over two worker strategies: per-scope
-/// helpers ([`Pool::new`] — spawned through `std::thread::scope` on every
-/// [`Pool::scope`] call) or a persistent crew ([`Pool::persistent`] —
-/// spawned once, woken per scope, amortizing the spawn cost across
-/// batches). `threads == 1` runs everything on the calling thread with no
-/// helper threads at all. Cloning a persistent pool shares its crew.
+/// A fixed-width scoped thread pool: the calling thread plus a crew of
+/// `threads − 1` helpers spawned once and woken per [`Pool::scope`].
+/// `threads == 1` runs everything on the calling thread with no helper
+/// threads at all. Cloning a pool shares its crew.
 #[derive(Clone)]
 pub struct Pool {
     threads: usize,
-    crew: Option<Arc<PersistentCrew>>,
-    /// Monotone epoch source for crew jobs (shared by clones).
-    epoch: Arc<AtomicU64>,
+    crew: Option<Arc<Crew>>,
 }
 
 impl std::fmt::Debug for Pool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Pool")
             .field("threads", &self.threads)
-            .field("persistent", &self.is_persistent())
             .finish()
     }
 }
 
 impl Pool {
-    /// A pool of `threads` workers (the calling thread counts as one),
-    /// spawning helpers per [`Pool::scope`] call.
+    /// A pool of `threads` workers (the calling thread counts as one); its
+    /// `threads − 1` helpers are spawned now and sleep on a condvar
+    /// between scopes.
     pub fn new(threads: usize) -> Self {
         assert!(threads >= 1, "a pool needs at least one worker");
         Pool {
             threads,
-            crew: None,
-            epoch: Arc::new(AtomicU64::new(0)),
-        }
-    }
-
-    /// A pool of `threads` workers whose `threads − 1` helpers are spawned
-    /// now and reused by every [`Pool::scope`] call — the per-scope spawn
-    /// count ([`ScopeReport::spawns`]) drops to zero. Prefer this when
-    /// scopes are small and frequent (streaming mini-batches); the helpers
-    /// sleep on a condvar between scopes.
-    pub fn persistent(threads: usize) -> Self {
-        assert!(threads >= 1, "a pool needs at least one worker");
-        Pool {
-            crew: (threads > 1).then(|| Arc::new(PersistentCrew::spawn(threads))),
-            threads,
-            epoch: Arc::new(AtomicU64::new(0)),
+            crew: (threads > 1).then(|| Arc::new(Crew::spawn(threads))),
         }
     }
 
@@ -435,9 +440,18 @@ impl Pool {
         self.threads
     }
 
-    /// Whether this pool reuses a persistent helper crew across scopes.
-    pub fn is_persistent(&self) -> bool {
-        self.crew.is_some()
+    /// Helper threads this pool's crew runs (0 at one worker).
+    pub fn helpers(&self) -> usize {
+        self.crew.as_ref().map_or(0, |c| c.handles.len())
+    }
+
+    /// Whether `self` and `other` run on the same crew (clones of one
+    /// pool). Pools without helpers share nothing.
+    pub fn shares_crew_with(&self, other: &Pool) -> bool {
+        match (&self.crew, &other.crew) {
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        }
     }
 
     /// Run `f` to register tasks, then execute every task (including tasks
@@ -448,34 +462,21 @@ impl Pool {
     /// on the calling thread *before* workers start — the registration
     /// order is the FIFO order of each worker's initial deque.
     ///
-    /// A panic in any task propagates out of this call after every worker
-    /// has stopped; tasks not yet started are dropped unexecuted. On a
-    /// persistent pool the crew survives the panic and serves later
-    /// scopes.
+    /// A scope opened from a task already running on this pool's crew
+    /// runs on its calling thread alone (one worker). A panic in any task
+    /// propagates out of this call after every worker has stopped; tasks
+    /// not yet started are dropped unexecuted, and the crew keeps serving
+    /// later scopes.
     pub fn scope<'env, R>(&self, f: impl FnOnce(&Scope<'env>) -> R) -> (R, ScopeReport) {
-        let scope = Scope::new(self.threads);
-        let result = f(&scope);
-        let mut spawns = 0u64;
-        // A scope nested inside a task already running on this crew would
-        // deadlock the publish/retract protocol; serve reentrant calls
-        // with per-scope helpers instead (same semantics as Pool::new).
         let crew = self
             .crew
             .as_ref()
             .filter(|c| !CrewActivation::is_active(&c.shared));
-        if self.threads == 1 {
-            scope.work(0);
-        } else if let Some(crew) = crew {
-            self.run_on_crew(crew, &scope);
-        } else {
-            spawns = (self.threads - 1) as u64;
-            std::thread::scope(|s| {
-                let sr = &scope;
-                for w in 1..self.threads {
-                    s.spawn(move || sr.work(w));
-                }
-                sr.work(0);
-            });
+        let scope = Scope::new(if crew.is_some() { self.threads } else { 1 });
+        let result = f(&scope);
+        match crew {
+            Some(crew) => crew.run(&scope),
+            None => scope.work(0),
         }
         if let Some(payload) = scope
             .panic_payload
@@ -485,43 +486,7 @@ impl Pool {
         {
             std::panic::resume_unwind(payload);
         }
-        let mut report = scope.report();
-        report.spawns = spawns;
-        (result, report)
-    }
-
-    /// Publish `scope` to the persistent crew, work it from the calling
-    /// thread too, then retract the job and wait until every helper has
-    /// signed off — only then may the scope die.
-    fn run_on_crew<'env>(&self, crew: &PersistentCrew, scope: &Scope<'env>) {
-        let shared = &crew.shared;
-        let _active = CrewActivation::enter(shared);
-        let epoch = self.epoch.fetch_add(1, Ordering::Relaxed) + 1;
-        {
-            let mut st = shared.state.lock().expect("crew state poisoned");
-            // Pool clones share the crew; serialize scopes so one job's
-            // pointer can never clobber another's.
-            while st.job.is_some() || st.working > 0 {
-                st = shared.done_cv.wait(st).expect("crew state poisoned");
-            }
-            st.job = Some(CrewJob {
-                scope: scope as *const Scope<'env> as *const (),
-                epoch,
-            });
-        }
-        shared.job_cv.notify_all();
-        scope.work(0);
-        // The caller's worker loop only returns once no tasks are pending,
-        // but helpers may still be inside (or just entering) the scope:
-        // retract the job so late wakers skip it, then wait them out.
-        let mut st = shared.state.lock().expect("crew state poisoned");
-        st.job = None;
-        while st.working > 0 {
-            st = shared.done_cv.wait(st).expect("crew state poisoned");
-        }
-        drop(st);
-        // A sibling clone may be parked in the pre-publish wait above.
-        shared.done_cv.notify_all();
+        (result, scope.report())
     }
 
     /// Run `body(chunk_index, chunk_range)` over the `chunk`-sized chunks
@@ -566,7 +531,25 @@ pub fn chunk_ranges(len: usize, chunk: usize) -> impl Iterator<Item = Range<usiz
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
     use std::sync::atomic::AtomicU32;
+    use std::thread::ThreadId;
+
+    /// The threads that ran the `tasks` tasks of one scope on `pool`.
+    fn workers_of_one_scope(pool: &Pool, tasks: usize) -> HashSet<ThreadId> {
+        let ran = Mutex::new(HashSet::new());
+        pool.scope(|s| {
+            for _ in 0..tasks {
+                let ran = &ran;
+                s.spawn(move |_| {
+                    // Long enough that helpers wake up and take a share.
+                    std::thread::sleep(Duration::from_micros(200));
+                    ran.lock().unwrap().insert(std::thread::current().id());
+                });
+            }
+        });
+        ran.into_inner().unwrap()
+    }
 
     #[test]
     fn every_task_runs_and_scope_joins() {
@@ -607,20 +590,11 @@ mod tests {
     #[test]
     fn single_thread_pool_runs_inline() {
         let pool = Pool::new(1);
-        let mut hits = 0u32;
-        {
-            let hits_ref = Mutex::new(&mut hits);
-            let (_, report) = pool.scope(|s| {
-                for _ in 0..7 {
-                    let h = &hits_ref;
-                    s.spawn(move |_| {
-                        **h.lock().unwrap() += 1;
-                    });
-                }
-            });
-            assert_eq!(report.steals, 0, "one worker cannot steal");
-        }
-        assert_eq!(hits, 7);
+        assert_eq!(pool.helpers(), 0, "one worker needs no helper thread");
+        let me = std::thread::current().id();
+        assert_eq!(workers_of_one_scope(&pool, 7), HashSet::from([me]));
+        let (_, report) = pool.scope(|s| s.spawn(|_| {}));
+        assert_eq!(report.steals, 0, "one worker cannot steal");
     }
 
     #[test]
@@ -669,25 +643,29 @@ mod tests {
 
     #[test]
     fn per_scope_pool_reports_spawns_persistent_reports_none() {
-        let per_scope = Pool::new(3);
-        let (_, r) = per_scope.scope(|s| s.spawn(|_| {}));
-        assert_eq!(r.spawns, 2, "per-scope pool spawns threads − 1 helpers");
-        let persistent = Pool::persistent(3);
-        assert!(persistent.is_persistent());
+        // Scopes spawn no threads: every task of every scope runs on the
+        // caller or on one of the crew's helpers, which were spawned once
+        // by `Pool::new`. Thread ids are never reused, so a pool that
+        // spawned per scope would show more than `threads` of them.
+        let pool = Pool::new(3);
+        assert_eq!(pool.helpers(), 2, "threads − 1 helpers, spawned once");
+        let mut seen = HashSet::new();
         for _ in 0..4 {
-            let (_, r) = persistent.scope(|s| s.spawn(|_| {}));
-            assert_eq!(r.spawns, 0, "crew helpers are reused, never respawned");
+            seen.extend(workers_of_one_scope(&pool, 12));
         }
-        let single = Pool::new(1);
-        let (_, r) = single.scope(|s| s.spawn(|_| {}));
-        assert_eq!(r.spawns, 0);
+        assert!(seen.contains(&std::thread::current().id()));
+        assert!(
+            seen.len() <= pool.threads(),
+            "{} distinct threads ran the tasks of four scopes on a 3-worker pool",
+            seen.len()
+        );
     }
 
     #[test]
     fn persistent_crew_runs_every_task_across_many_scopes() {
-        // Tasks must borrow the caller's stack exactly like the per-scope
-        // pool — the unsafe pointer hand-off may not lose or repeat work.
-        let pool = Pool::persistent(4);
+        // Tasks must borrow the caller's stack — the unsafe pointer
+        // hand-off may not lose or repeat work.
+        let pool = Pool::new(4);
         for round in 0..50u32 {
             let counter = AtomicU32::new(0);
             let tasks = 1 + (round % 13);
@@ -707,7 +685,7 @@ mod tests {
 
     #[test]
     fn persistent_crew_survives_task_panics() {
-        let pool = Pool::persistent(2);
+        let pool = Pool::new(2);
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             pool.scope(|s| {
                 s.spawn(|_| panic!("crew task boom"));
@@ -731,23 +709,32 @@ mod tests {
     #[test]
     fn reentrant_scope_on_a_persistent_pool_falls_back_instead_of_deadlocking() {
         // A task that opens another scope on (a clone of) its own crew
-        // must be served by per-scope helpers, not wedge the crew.
-        let pool = Pool::persistent(2);
+        // must run that scope on its own thread, not wedge the crew.
+        let pool = Pool::new(2);
         let inner_pool = pool.clone();
         let hits = AtomicU32::new(0);
         let (_, outer) = pool.scope(|s| {
             let h = &hits;
             let q = &inner_pool;
             s.spawn(move |_| {
+                let opener = std::thread::current().id();
+                let ran_on = Mutex::new(HashSet::new());
                 let (_, inner) = q.scope(|inner_s| {
                     for _ in 0..5 {
+                        let ran_on = &ran_on;
                         inner_s.spawn(move |_| {
+                            ran_on.lock().unwrap().insert(std::thread::current().id());
                             h.fetch_add(1, Ordering::SeqCst);
                         });
                     }
                 });
                 assert_eq!(inner.tasks, 5);
-                assert_eq!(inner.spawns, 1, "reentrant scope uses per-scope helpers");
+                assert_eq!(inner.worker_busy_s.len(), 1, "one worker: the opener");
+                assert_eq!(
+                    ran_on.into_inner().unwrap(),
+                    HashSet::from([opener]),
+                    "the nested scope must run on the thread that opened it"
+                );
                 h.fetch_add(100, Ordering::SeqCst);
             });
         });
@@ -755,13 +742,19 @@ mod tests {
         assert_eq!(outer.tasks, 1);
         // The crew still serves non-reentrant scopes afterwards.
         let (_, after) = pool.scope(|s| s.spawn(|_| {}));
-        assert_eq!(after.spawns, 0);
+        assert_eq!(after.worker_busy_s.len(), 2);
     }
 
     #[test]
     fn cloned_persistent_pools_share_one_crew() {
-        let a = Pool::persistent(3);
+        let a = Pool::new(3);
         let b = a.clone();
+        assert!(a.shares_crew_with(&b));
+        assert!(
+            !a.shares_crew_with(&Pool::new(3)),
+            "a new pool has its own crew"
+        );
+        assert!(!Pool::new(1).shares_crew_with(&Pool::new(1)));
         let hits = AtomicU32::new(0);
         let ha = &hits;
         // Serialized scopes from two clones must both run fine.

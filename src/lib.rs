@@ -17,7 +17,7 @@
 //! | [`btree`] | `reservoir-btree` | augmented B+ tree: rank/select/split/join local reservoirs, allocation-free leaf walk; the snapshot seqlock and its stress hooks |
 //! | [`comm`] | `reservoir-comm` | Communicator trait, threaded runtime, collectives, α–β cost model |
 //! | [`stream`] | `reservoir-stream` | mini-batch model, workload generators, push-based ingestion runtime (`stream::ingest`: record sources, batchers, backpressure) |
-//! | [`par`] | `reservoir-par` | scoped work-stealing thread pool, parallel per-PE local scan (`ParLocalReservoir`) |
+//! | [`par`] | `reservoir-par` | scoped work-stealing thread pool: the per-PE worker crew the chunked local scan runs on |
 //! | [`rng`] | `reservoir-rng` | MT19937-64, xoshiro256++, exponential/geometric deviates |
 //!
 //! ## Quick start (sequential)
@@ -137,19 +137,19 @@
 //! ## Multicore PEs: the `threads_per_pe` knob
 //!
 //! Each PE's local jump scan — the per-batch hot path once the ingestion
-//! runtime pushes batches faster than one core can scan them — can run on
-//! a work-stealing pool ([`par`]) instead of a single thread. Chain
-//! `.with_threads(t)` onto any `DistConfig` (or set the
-//! `RESERVOIR_THREADS` environment variable to switch a whole run): the
-//! batch is split into fixed-size chunks scanned with independent
-//! per-chunk RNG streams and merged in a short sequential epilogue. The
-//! sampling law is identical to the sequential scan (pinned by the
-//! `par_chi_square` acceptance tests), and for a fixed seed the parallel
-//! path draws the *same sample at every thread count* — chunk streams,
-//! not worker streams, carry the randomness. For small, frequent
-//! mini-batches, add `.with_persistent_pool(true)` to reuse one worker
-//! crew across batches instead of spawning helper threads per scan
-//! (`BatchReport::scan.spawns` drops to zero):
+//! runtime pushes batches faster than one core can scan them — splits
+//! every batch into fixed-size chunks, each scanned with its own RNG
+//! stream. Chain `.with_threads(t)` onto any `DistConfig` (or set the
+//! `RESERVOIR_THREADS` environment variable to switch a whole run) and
+//! each PE keeps one crew of `t − 1` helper threads ([`par`]), parked
+//! between batches: a batch of several chunks is scanned chunk-parallel on
+//! the crew and merged in a short sequential epilogue, while one-chunk
+//! batches (and every batch at `t = 1`) run the same chunk kernels inline.
+//! Chunk streams, not worker streams, carry the randomness, so for a fixed
+//! seed every thread count draws the *same sample* (pinned by
+//! `tests/engine_equivalence.rs`; the `par_chi_square` acceptance tests pin
+//! the law). A pooled batch's per-worker report is
+//! `DistributedSampler::last_par_scan`:
 //!
 //! ```
 //! use reservoir::comm::run_threads;
@@ -157,7 +157,7 @@
 //! use reservoir::dist::DistConfig;
 //! use reservoir::stream::{StreamSpec, WeightGen};
 //!
-//! let spec = StreamSpec { pes: 2, batch_size: 800, weights: WeightGen::paper_uniform(), seed: 9 };
+//! let spec = StreamSpec { pes: 2, batch_size: 10_000, weights: WeightGen::paper_uniform(), seed: 9 };
 //! let run = |threads: usize| run_threads(2, move |comm| {
 //!     use reservoir::comm::Communicator;
 //!     let cfg = DistConfig::weighted(40, 9).with_threads(threads);
@@ -165,12 +165,14 @@
 //!     let mut source = spec.source_for(comm.rank());
 //!     for _ in 0..3 {
 //!         sampler.process_batch(&source.next_batch());
+//!         // 10,000 records span three chunks: pooled above one thread.
+//!         assert_eq!(sampler.last_par_scan().is_some(), threads > 1);
 //!     }
 //!     let mut ids: Vec<u64> = sampler.local_sample().iter().map(|m| m.id).collect();
 //!     ids.sort_unstable();
 //!     ids
 //! });
-//! assert_eq!(run(4), run(2)); // same seed ⇒ same sample on any parallel width
+//! assert_eq!(run(4), run(1)); // same seed ⇒ same sample at every width
 //! ```
 //!
 //! ## Always-fresh snapshots: reading the sample while it ingests

@@ -50,6 +50,27 @@ pub fn one_sample_chi_square(observed: &[u64], expected_per_item: f64) -> (f64, 
     (stat, observed.len().saturating_sub(1))
 }
 
+/// One-sample chi-square statistic of per-item inclusion counts over
+/// `trials` independent trials against analytic inclusion probabilities
+/// `p(i)`, for laws where every item enters independently (threshold-mode
+/// scans): Σ (o_i − T·p_i)² / (T·p_i·(1 − p_i)) — the two-cell
+/// (in/out) Pearson statistic per item — with df = #items.
+#[allow(dead_code)] // not every test binary links every helper
+pub fn bernoulli_chi_square(observed: &[u64], trials: u64, p: impl Fn(u64) -> f64) -> (f64, usize) {
+    let stat = observed
+        .iter()
+        .enumerate()
+        .map(|(i, &o)| {
+            let p = p(i as u64);
+            assert!(0.0 < p && p < 1.0, "item {i}: inclusion probability {p}");
+            let expect = trials as f64 * p;
+            let diff = o as f64 - expect;
+            diff * diff / (expect * (1.0 - p))
+        })
+        .sum();
+    (stat, observed.len())
+}
+
 /// Normal-approximation upper quantile of χ²(df): df + z·√(2df) + z²·2/3.
 /// z = 2.33 is the 99th percentile (the "p > 0.01" acceptance bar);
 /// z = 4 keeps the false-failure probability around 3e-5.

@@ -110,42 +110,80 @@ fn gather_wrapper_equals_engine_driven_path_at_both_widths() {
 }
 
 /// Neither the scan width nor the merge-mode pin may change the sample.
-/// Parallel scans draw candidates from per-(batch, chunk) RNG streams, so
-/// the candidate multiset is a function of (seed, chunking) alone — at
-/// whatever thread count the epilogue merges them, the fixed-seed output
-/// must be byte-identical, with or without the retired
-/// `with_merge(MergeMode::Epilogue)` pin the benchmark harness still sets.
-/// (threads=1 is the sequential scan arm, which draws from a single RNG
-/// stream and legitimately differs; it is covered by the
-/// chunked-equivalence tests in `reservoir-par`.)
+/// Every width draws its keys from the same per-(batch, chunk) RNG
+/// streams — inline on one worker, chunk-parallel on a crew — so at every
+/// thread count the fixed-seed output must be byte-identical to the
+/// one-thread reference, with or without the retired
+/// `with_merge(MergeMode::Epilogue)` pin the benchmark harness still sets,
+/// on all three real samplers. The 20,000-record batches span several
+/// chunks per PE (and per shard), so the wider runs really scan on their
+/// crews, in growing mode and in threshold mode.
 #[test]
 fn merge_mode_and_thread_count_never_change_the_sample() {
+    use reservoir::dist::ShardedSampler;
+    const SHARDS: usize = 4;
+    type Run = Vec<(Vec<(u64, u64)>, Option<u64>)>;
     let p = 3;
-    let run = |threads: usize, pinned: bool| {
+    let sizes = [20_000u64, 150, 20_000, 150];
+    let run = |sampler: &str, threads: usize, pinned: bool| -> Vec<Run> {
         let mut cfg = DistConfig::weighted(40, 2024).with_threads(threads);
         if pinned {
             cfg = cfg.with_merge(MergeMode::Epilogue);
         }
         run_threads(p, |comm| {
-            let mut s = DistributedSampler::new(&comm, cfg);
-            for b in 0..4u64 {
-                s.process_batch(&unit_batch(comm.rank(), b, 150));
+            let batch = |b: usize| unit_batch(comm.rank(), b as u64, sizes[b]);
+            let one = |handle: &reservoir::dist::SampleHandle, t: Option<f64>| {
+                (
+                    fingerprint(handle.local_items().iter().map(|m| (m.id, m.key))),
+                    t.map(f64::to_bits),
+                )
+            };
+            match sampler {
+                "distributed" => {
+                    let mut s = DistributedSampler::new(&comm, cfg);
+                    for b in 0..sizes.len() {
+                        s.process_batch(&batch(b));
+                    }
+                    vec![one(&s.collect_output(), s.threshold())]
+                }
+                "gather" => {
+                    let mut s = GatherSampler::new(&comm, cfg);
+                    for b in 0..sizes.len() {
+                        s.process_batch(&batch(b));
+                    }
+                    vec![one(&s.collect_output(), s.threshold())]
+                }
+                _ => {
+                    let mut fleet = ShardedSampler::new(&comm, cfg, SHARDS);
+                    for b in 0..sizes.len() {
+                        let mut buckets = vec![Vec::new(); SHARDS];
+                        for item in batch(b) {
+                            buckets[(item.id % SHARDS as u64) as usize].push(item);
+                        }
+                        fleet.process_batch(&buckets);
+                    }
+                    let thresholds: Vec<_> = (0..SHARDS).map(|s| fleet.threshold(s)).collect();
+                    fleet
+                        .collect_output()
+                        .iter()
+                        .zip(thresholds)
+                        .map(|(h, t)| one(h, t))
+                        .collect()
+                }
             }
-            let handle = s.collect_output();
-            (
-                fingerprint(handle.local_items().iter().map(|m| (m.id, m.key))),
-                s.threshold().map(f64::to_bits),
-            )
         })
     };
-    let reference = run(2, false);
-    for &threads in &[2usize, 4, 8] {
-        for pinned in [false, true] {
-            assert_eq!(
-                run(threads, pinned),
-                reference,
-                "threads={threads} merge pin={pinned} diverged from the threads=2 reference"
-            );
+    for sampler in ["distributed", "gather", "sharded"] {
+        let reference = run(sampler, 1, false);
+        for &threads in &[2usize, 4, 8] {
+            for pinned in [false, true] {
+                assert_eq!(
+                    run(sampler, threads, pinned),
+                    reference,
+                    "{sampler}: threads={threads} merge pin={pinned} diverged from \
+                     the threads=1 reference"
+                );
+            }
         }
     }
 }
@@ -218,7 +256,7 @@ fn continuous_publication_never_changes_the_final_sample() {
 #[test]
 fn distributed_and_gather_policies_run_the_same_scan_per_pe() {
     // Both policies share the engine's insert step over the identical
-    // PeReservoir scan; under equal seeds their *candidate generation* is
+    // LocalReservoir scan; under equal seeds their *candidate generation* is
     // driven by the same RNG streams even though the protocols differ.
     // This pins the policy split to the collective steps only: same
     // config, same per-batch candidate counts in the growing phase (no
@@ -373,14 +411,13 @@ fn unified_drain_finalizes_window_mode_output() {
     assert!(results.iter().all(|t| *t == lo));
 }
 
-/// Persistent scan crews and the sparse-batch fast path are invisible to
-/// the sampling law: at both CI scan widths, a shard fleet — its scans on
-/// per-scope helpers or on persistent crews, with the sparse skip on or
-/// off — reproduces byte for byte the samples of standalone per-shard
-/// samplers on per-scope helpers. Shard 3 never receives a record, so the
-/// skip-on fleet genuinely skips it every superstep (its crew idles)
-/// while the standalone reference processes its empty batches; identical
-/// output pins the skip as law-free.
+/// The PE's shared scan crew and the sparse-batch fast path are invisible
+/// to the sampling law: at both CI scan widths, a shard fleet — every
+/// shard scanning on its PE's one crew — reproduces byte for byte the
+/// samples of standalone per-shard samplers. Shard 3 never receives a
+/// record, so the fleet skips it every superstep while the standalone
+/// reference processes its empty batches; identical output pins the skip
+/// as law-free.
 #[test]
 fn pooled_fleet_and_sparse_skip_match_private_samplers_on_the_grid() {
     use reservoir::dist::{shard_seed, ShardedSampler};
@@ -397,60 +434,54 @@ fn pooled_fleet_and_sparse_skip_match_private_samplers_on_the_grid() {
         buckets
     }
     let p = 2;
+    let private = run_threads(p, |comm| {
+        (0..SHARDS)
+            .map(|s| {
+                let cfg = DistConfig::weighted(25, shard_seed(808, s)).with_threads(1);
+                let mut solo = DistributedSampler::new(&comm, cfg);
+                for b in 0..4u64 {
+                    let buckets = route(unit_batch(comm.rank(), b, 120));
+                    solo.process_batch(&buckets[s]);
+                }
+                let handle = solo.collect_output();
+                (
+                    fingerprint(handle.local_items().iter().map(|m| (m.id, m.key))),
+                    solo.threshold().map(f64::to_bits),
+                )
+            })
+            .collect::<Vec<_>>()
+    });
     for &threads in &[1usize, 4] {
-        let private = run_threads(p, |comm| {
-            (0..SHARDS)
-                .map(|s| {
-                    let cfg = DistConfig::weighted(25, shard_seed(808, s)).with_threads(threads);
-                    let mut solo = DistributedSampler::new(&comm, cfg);
-                    for b in 0..4u64 {
-                        let buckets = route(unit_batch(comm.rank(), b, 120));
-                        solo.process_batch(&buckets[s]);
-                    }
-                    let handle = solo.collect_output();
+        let fleet = run_threads(p, |comm| {
+            let cfg = DistConfig::weighted(25, 808).with_threads(threads);
+            let mut fleet = ShardedSampler::new(&comm, cfg, SHARDS);
+            let mut skipped = 0usize;
+            for b in 0..4u64 {
+                skipped += fleet
+                    .process_batch(&route(unit_batch(comm.rank(), b, 120)))
+                    .shards_skipped;
+            }
+            assert_eq!(
+                skipped, 4,
+                "the always-empty shard must skip every superstep"
+            );
+            let thresholds: Vec<_> = (0..SHARDS).map(|s| fleet.threshold(s)).collect();
+            fleet
+                .collect_output()
+                .iter()
+                .zip(thresholds)
+                .map(|(h, t)| {
                     (
-                        fingerprint(handle.local_items().iter().map(|m| (m.id, m.key))),
-                        solo.threshold().map(f64::to_bits),
+                        fingerprint(h.local_items().iter().map(|m| (m.id, m.key))),
+                        t.map(f64::to_bits),
                     )
                 })
                 .collect::<Vec<_>>()
         });
-        for (pooled, skip) in [(false, true), (false, false), (true, true), (true, false)] {
-            let fleet = run_threads(p, |comm| {
-                let cfg = DistConfig::weighted(25, 808)
-                    .with_threads(threads)
-                    .with_persistent_pool(pooled);
-                let mut fleet = ShardedSampler::new(&comm, cfg, SHARDS).with_sparse_skip(skip);
-                let mut skipped = 0usize;
-                for b in 0..4u64 {
-                    skipped += fleet
-                        .process_batch(&route(unit_batch(comm.rank(), b, 120)))
-                        .shards_skipped;
-                }
-                assert_eq!(
-                    skipped,
-                    if skip { 4 } else { 0 },
-                    "the always-empty shard must skip exactly when enabled"
-                );
-                let thresholds: Vec<_> = (0..SHARDS).map(|s| fleet.threshold(s)).collect();
-                fleet
-                    .collect_output()
-                    .iter()
-                    .zip(thresholds)
-                    .map(|(h, t)| {
-                        (
-                            fingerprint(h.local_items().iter().map(|m| (m.id, m.key))),
-                            t.map(f64::to_bits),
-                        )
-                    })
-                    .collect::<Vec<_>>()
-            });
-            assert_eq!(
-                fleet, private,
-                "threads={threads} persistent_pool={pooled} sparse_skip={skip}: \
-                 fleet diverged from private standalone samplers"
-            );
-        }
+        assert_eq!(
+            fleet, private,
+            "threads={threads}: fleet diverged from private standalone samplers"
+        );
     }
 }
 

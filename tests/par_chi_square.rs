@@ -1,17 +1,19 @@
-//! Statistical acceptance tests for the parallel local scan
-//! (`reservoir-par`): the chunked work-stealing scan must draw from
-//! **exactly the same weighted law** as the sequential `LocalReservoir` —
-//! locally (threshold scan and growing mode) and end-to-end through both
-//! distributed backends (`DistributedSampler` and the `GatherSampler`
-//! baseline) under the `threads_per_pe` knob — plus the fixed-seed
-//! determinism guarantees of the merge epilogue.
+//! Statistical acceptance tests for the chunked local scan: drawing each
+//! chunk's keys from its own per-(batch, chunk) RNG stream must realize
+//! **exactly the weighted sampling law** — locally (threshold scan and
+//! growing mode) and end-to-end through both distributed backends
+//! (`DistributedSampler` and the `GatherSampler` baseline) at both scan
+//! widths — plus the fixed-seed determinism of the pooled merge epilogue.
 //!
-//! The persistent worker crew (`Pool::persistent`, helpers spawned once
-//! and woken per scope, running concurrently with the caller across
-//! batches) is held to the same bar: the `conc_` variants run the local
-//! scans on one crew shared by every trial's reservoir and the pipelines
-//! with `with_persistent_pool(true)`, two-sample-χ²-tested against the
-//! sequential law on both backends.
+//! Every reference is independent of the scan under test: the threshold
+//! scan's per-item inclusion probability `1 − e^{−t·wᵢ}` in closed form
+//! (a one-sample χ² test), and the heap-based sequential
+//! `seq::WeightedJumpSampler` for growing mode and the pipelines (a
+//! two-sample χ² test over per-item inclusion counts).
+//!
+//! The `par_` variants run the chunk kernels inline, on one worker; the
+//! `conc_` variants run them concurrently on a four-worker crew shared by
+//! every trial (the pipelines: each PE's crew at `threads_per_pe = 4`).
 //!
 //! The always-on tests keep trial counts modest; the `stats_`-prefixed
 //! tests behind the `stats` feature run the same laws at CI scale
@@ -19,13 +21,14 @@
 
 mod common;
 
-use common::{chi_square_upper, skewed_weight, two_sample_chi_square};
+use common::{bernoulli_chi_square, chi_square_upper, skewed_weight, two_sample_chi_square};
 use reservoir::comm::run_threads;
 use reservoir::dist::gather::GatherSampler;
 use reservoir::dist::threaded::DistributedSampler;
 use reservoir::dist::{DistConfig, LocalReservoir};
-use reservoir::par::{ParLocalReservoir, Pool};
+use reservoir::par::Pool;
 use reservoir::rng::{default_rng, test_base_seed};
+use reservoir::seq::WeightedJumpSampler;
 use reservoir::stream::Item;
 
 /// Moderate weights so every item's threshold-mode inclusion probability
@@ -49,29 +52,29 @@ fn batches_for(rank: usize, p: usize, n: u64, batches: usize) -> Vec<Vec<Item>> 
     mine.chunks(per).map(<[Item]>::to_vec).collect()
 }
 
-/// Per-item inclusion counts of the *sequential* threshold scan.
-fn seq_scan_counts(n: u64, t: f64, trials: u64, seed_base: u64) -> Vec<u64> {
+/// Per-item inclusion counts of the heap-based sequential sampler keeping
+/// `k` of items 0..n under skewed weights — the reference law.
+fn reference_counts(n: u64, k: usize, trials: u64, seed_base: u64) -> Vec<u64> {
     let mut counts = vec![0u64; n as usize];
+    let items = batch(n, skewed_weight);
     for trial in 0..trials {
-        let mut r = LocalReservoir::new(8, 32);
-        let mut rng = default_rng(seed_base.wrapping_add(trial));
-        r.process_weighted(&batch(n, moderate_weight), Some(t), &mut rng);
-        for m in r.items() {
+        let mut s = WeightedJumpSampler::new(k, default_rng(seed_base.wrapping_add(trial)));
+        s.process_batch(&items);
+        for m in s.sample() {
             counts[m.id as usize] += 1;
         }
     }
     counts
 }
 
-/// Per-item inclusion counts of the *parallel* threshold scan on `pool`'s
-/// workers (small chunks so even these batch sizes span many chunks — and
-/// real steals happen).
-fn par_scan_counts(n: u64, t: f64, pool: &Pool, trials: u64, seed_base: u64) -> Vec<u64> {
+/// Per-item inclusion counts of the threshold scan on `pool`'s workers
+/// (small chunks so even these batch sizes span many chunks — and a crew
+/// really steals).
+fn scan_counts(n: u64, t: f64, pool: &Pool, trials: u64, seed_base: u64) -> Vec<u64> {
     let mut counts = vec![0u64; n as usize];
     for trial in 0..trials {
-        let mut r = ParLocalReservoir::new(8, 32, pool.threads(), seed_base.wrapping_add(trial))
-            .with_chunk_items(64)
-            .with_pool(pool.clone());
+        let mut r = LocalReservoir::new(8, 32, pool.clone(), seed_base.wrapping_add(trial))
+            .with_chunk_items(64);
         r.process_weighted(&batch(n, moderate_weight), Some(t));
         for (k, _) in r.tree().iter() {
             counts[k.id as usize] += 1;
@@ -124,57 +127,53 @@ fn pipeline_counts(
     counts
 }
 
-fn assert_same_law(a: &[u64], b: &[u64], z: f64, what: &str) {
+fn assert_same_law(reference: &[u64], observed: &[u64], z: f64, what: &str) {
     let base = test_base_seed();
-    let (stat, df) = two_sample_chi_square(a, b);
+    let (stat, df) = two_sample_chi_square(reference, observed);
     let limit = chi_square_upper(df, z);
     assert!(
         stat < limit,
-        "{what}: chi-square {stat:.1} exceeds χ²({df}) limit {limit:.1} — parallel \
-         and sequential laws differ (base seed {base}; set RESERVOIR_TEST_SEED to \
-         reproduce/vary)"
+        "{what}: chi-square {stat:.1} exceeds χ²({df}) limit {limit:.1} — the scan \
+         and the sequential reference sampler draw different laws (base seed {base}; \
+         set RESERVOIR_TEST_SEED to reproduce/vary)"
     );
 }
 
 // --- threshold-mode local law ------------------------------------------
 
-fn check_threshold_scan_law(n: u64, t: f64, trials: u64, z: f64) {
-    let base = test_base_seed();
-    let seq = seq_scan_counts(n, t, trials, base.wrapping_add(21_000_000));
-    let par = par_scan_counts(n, t, &Pool::new(4), trials, base.wrapping_add(22_000_000));
-    // Heavier items must be included more often in both.
-    assert!(seq[9] > seq[0], "{} vs {}", seq[9], seq[0]);
-    assert!(par[9] > par[0], "{} vs {}", par[9], par[0]);
-    assert_same_law(&seq, &par, z, "threshold scan (t=4 vs sequential)");
+/// One-sample χ² of threshold-scan counts against the analytic law at
+/// threshold `t`: item i enters with probability `1 − e^{−t·wᵢ}`,
+/// independently of every other item.
+fn threshold_law_statistic(counts: &[u64], t: f64, trials: u64, z: f64) -> (f64, f64, usize) {
+    let (stat, df) =
+        bernoulli_chi_square(counts, trials, |i| 1.0 - (-t * moderate_weight(i)).exp());
+    (stat, chi_square_upper(df, z), df)
 }
 
-fn check_conc_threshold_scan_law(n: u64, t: f64, trials: u64, z: f64) {
+/// The scan on `pool`, seeded from `salt`, against the analytic law.
+fn check_threshold_scan_law(pool: &Pool, salt: u64, n: u64, t: f64, trials: u64, z: f64) {
     let base = test_base_seed();
-    let seq = seq_scan_counts(n, t, trials, base.wrapping_add(25_000_000));
-    let conc = par_scan_counts(
-        n,
-        t,
-        &Pool::persistent(4),
-        trials,
-        base.wrapping_add(26_000_000),
-    );
-    assert!(conc[9] > conc[0], "{} vs {}", conc[9], conc[0]);
-    assert_same_law(
-        &seq,
-        &conc,
-        z,
-        "threshold scan on a persistent crew (t=4 vs sequential)",
+    let counts = scan_counts(n, t, pool, trials, base.wrapping_add(salt));
+    // Heavier items must be included more often.
+    assert!(counts[9] > counts[0], "{} vs {}", counts[9], counts[0]);
+    let (stat, limit, df) = threshold_law_statistic(&counts, t, trials, z);
+    assert!(
+        stat < limit,
+        "threshold scan on {} worker(s): chi-square {stat:.1} exceeds χ²({df}) \
+         limit {limit:.1} against 1 − e^(−t·w) (base seed {base}; set \
+         RESERVOIR_TEST_SEED to reproduce/vary)",
+        pool.threads()
     );
 }
 
 #[test]
 fn par_threshold_scan_matches_sequential_law() {
-    check_threshold_scan_law(512, 0.1, 200, 4.0);
+    check_threshold_scan_law(&Pool::new(1), 22_000_000, 512, 0.1, 200, 4.0);
 }
 
 #[test]
 fn conc_threshold_scan_matches_sequential_law() {
-    check_conc_threshold_scan_law(512, 0.1, 200, 4.0);
+    check_threshold_scan_law(&Pool::new(4), 26_000_000, 512, 0.1, 200, 4.0);
 }
 
 #[test]
@@ -183,16 +182,14 @@ fn par_chi_square_detects_a_genuinely_different_law() {
     // different inclusion law and must blow past the same limit.
     let base = test_base_seed();
     let (n, trials) = (512u64, 200u64);
-    let seq = seq_scan_counts(n, 0.1, trials, base.wrapping_add(23_000_000));
-    let par = par_scan_counts(
+    let counts = scan_counts(
         n,
         0.16,
-        &Pool::new(4),
+        &Pool::new(1),
         trials,
         base.wrapping_add(24_000_000),
     );
-    let (stat, df) = two_sample_chi_square(&seq, &par);
-    let limit = chi_square_upper(df, 2.33);
+    let (stat, limit, _) = threshold_law_statistic(&counts, 0.1, trials, 2.33);
     assert!(
         stat > limit,
         "control failed: {stat:.1} should exceed {limit:.1} for different \
@@ -202,97 +199,80 @@ fn par_chi_square_detects_a_genuinely_different_law() {
 
 // --- growing-mode local law --------------------------------------------
 
-/// No global threshold: keep the cap smallest keys. Sequential jump
-/// reservoir vs parallel draw-and-re-prune on `pool` — same weighted law.
-/// The sequential side seeds from `salt`, the parallel side from
+/// No global threshold: keep the cap smallest keys. The chunked
+/// draw-and-prune scan on `pool` against the heap-based sequential sampler
+/// — the same weighted law. The reference seeds from `salt`, the scan from
 /// `salt + 1_000_000`.
 fn check_growing_mode_law(pool: &Pool, salt: u64, what: &str) {
     let base = test_base_seed();
     let (n, cap, trials) = (256u64, 32usize, 300u64);
-    let mut seq = vec![0u64; n as usize];
-    let mut par = vec![0u64; n as usize];
+    let reference = reference_counts(n, cap, trials, base.wrapping_add(salt));
+    let mut scan = vec![0u64; n as usize];
     for trial in 0..trials {
-        let mut r = LocalReservoir::new(cap, 32);
-        let mut rng = default_rng(base.wrapping_add(salt + trial));
-        r.process_weighted(&batch(n, skewed_weight), None, &mut rng);
-        assert_eq!(r.len(), cap as u64);
-        for m in r.items() {
-            seq[m.id as usize] += 1;
-        }
         let seed = base.wrapping_add(salt + 1_000_000 + trial);
-        let mut r = ParLocalReservoir::new(cap, 32, pool.threads(), seed)
-            .with_chunk_items(48)
-            .with_pool(pool.clone());
+        let mut r = LocalReservoir::new(cap, 32, pool.clone(), seed).with_chunk_items(48);
         r.process_weighted(&batch(n, skewed_weight), None);
         assert_eq!(r.len(), cap as u64);
         for (k, _) in r.tree().iter() {
-            par[k.id as usize] += 1;
+            scan[k.id as usize] += 1;
         }
     }
-    assert_same_law(&seq, &par, 4.0, what);
+    assert_same_law(&reference, &scan, 4.0, what);
 }
 
 #[test]
 fn par_growing_mode_matches_sequential_law() {
     check_growing_mode_law(
-        &Pool::new(4),
+        &Pool::new(1),
         31_000_000,
-        "growing mode (t=4 vs sequential)",
+        "growing mode (one worker vs the sequential sampler)",
     );
 }
 
 #[test]
 fn conc_growing_mode_matches_sequential_law() {
     check_growing_mode_law(
-        &Pool::persistent(4),
+        &Pool::new(4),
         33_000_000,
-        "growing mode on a persistent crew (t=4 vs sequential)",
+        "growing mode on a crew (four workers vs the sequential sampler)",
     );
 }
 
 // --- end-to-end law on both backends -----------------------------------
 
-/// The `threads = 4` pipeline law, its scans on per-scope helpers or
-/// (`persistent`) on each PE's persistent crew.
-fn check_pipeline_law(gather_backend: bool, persistent: bool, trials: u64, z: f64) {
+/// The pipeline law at one scan thread per PE or (`crew`) on each PE's
+/// four-worker crew, against the sequential sampler over the same items.
+fn check_pipeline_law(gather_backend: bool, crew: bool, trials: u64, z: f64) {
     let base = test_base_seed();
     let (n, k, p) = (96u64, 16usize, 2usize);
-    // Distinct salt per (backend, crew) cell so the cells stay
+    // Distinct salt per (backend, width) cell so the cells stay
     // independent trials of the law.
-    let salt = match (gather_backend, persistent) {
+    let salt = match (gather_backend, crew) {
         (true, false) => 41_000_000,
         (false, false) => 45_000_000,
         (true, true) => 51_000_000,
         (false, true) => 55_000_000,
     };
-    let seq = pipeline_counts(
+    let threads = if crew { 4 } else { 1 };
+    let reference = reference_counts(n, k, trials, base.wrapping_add(salt));
+    let observed = pipeline_counts(
         gather_backend,
-        |cfg| cfg.with_threads(1),
-        n,
-        k,
-        p,
-        trials,
-        base.wrapping_add(salt),
-    );
-    let par = pipeline_counts(
-        gather_backend,
-        |cfg| cfg.with_threads(4).with_persistent_pool(persistent),
+        |cfg| cfg.with_threads(threads),
         n,
         k,
         p,
         trials,
         base.wrapping_add(salt + 2_000_000),
     );
-    assert_eq!(seq.iter().sum::<u64>(), trials * k as u64);
-    assert_eq!(par.iter().sum::<u64>(), trials * k as u64);
+    assert_eq!(reference.iter().sum::<u64>(), trials * k as u64);
+    assert_eq!(observed.iter().sum::<u64>(), trials * k as u64);
     let backend = if gather_backend {
         "GatherSampler"
     } else {
         "DistributedSampler"
     };
-    let crew = if persistent { ", persistent crew" } else { "" };
-    let name = format!("{backend} backend{crew} (threads 4 vs 1)");
-    assert_same_law(&seq, &par, z, &name);
+    let name = format!("{backend} backend at {threads} thread(s) vs the sequential sampler");
+    assert_same_law(&reference, &observed, z, &name);
 }
 
 #[test]
@@ -323,7 +303,7 @@ fn par_merge_epilogue_is_deterministic_for_fixed_seed_and_threads() {
     // a growing phase, a threshold transition, and steady-state batches —
     // even though chunk-to-worker assignment (stealing) varies run to run.
     let run = |threads: usize| {
-        let mut r = ParLocalReservoir::new(64, 32, threads, 0xD15C0).with_chunk_items(128);
+        let mut r = LocalReservoir::new(64, 32, Pool::new(threads), 0xD15C0).with_chunk_items(128);
         r.process_weighted(&batch(2_000, skewed_weight), None);
         let t = {
             let (key, _) = r.tree().max().expect("filled");
@@ -343,7 +323,7 @@ fn par_merge_epilogue_is_deterministic_for_fixed_seed_and_threads() {
     let b = run(4);
     assert_eq!(a, b, "fixed seed + fixed threads must reproduce exactly");
     // Stronger: the fixed chunk geometry makes the result independent of
-    // the thread count entirely.
+    // the thread count entirely, inline scan included.
     assert_eq!(a, run(1), "thread count must not change the sample");
     assert_eq!(a, run(3));
 }
@@ -371,7 +351,7 @@ fn par_distributed_sampler_is_deterministic_for_fixed_seed_and_threads() {
 #[cfg(feature = "stats")]
 #[test]
 fn stats_par_threshold_scan_matches_sequential_law_at_scale() {
-    check_threshold_scan_law(1024, 0.1, 2_000, 2.33);
+    check_threshold_scan_law(&Pool::new(1), 22_000_000, 1024, 0.1, 2_000, 2.33);
 }
 
 #[cfg(feature = "stats")]
