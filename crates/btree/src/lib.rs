@@ -23,6 +23,12 @@
 //!   operations, exactly the classic B-tree split; total cost O(log² n)
 //!   worst case, which is negligible at reservoir sizes (one split per
 //!   mini-batch).
+//! * **In-place eviction.** A growing-mode reservoir evicts its largest key
+//!   once per kept key, so [`BPlusTree::pop_max`] is not built from split
+//!   and join: one walk down the rightmost spine pops the last entry and
+//!   repairs an underfull last child from its left sibling, O(log n) with
+//!   no allocation unless a merge grows that sibling. `remove` and
+//!   `pop_min` stay composed from split and join, off every hot path.
 //!
 //! The element type is generic, but the crate also ships [`SampleKey`] — the
 //! `(f64 key, u64 item id)` composite key used by all the samplers, with a

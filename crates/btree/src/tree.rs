@@ -7,8 +7,9 @@ use crate::node::{split_inner, split_leaf, Inner, Node, Spill};
 use crate::{DEFAULT_DEGREE, MIN_DEGREE};
 
 /// An order-statistics B+ tree: a search tree over unique keys supporting
-/// `insert`, `get`, `rank`, `select`, `split_at_key`, `split_at_rank` and
-/// `join`, all in O(log n) (splits: O(log² n) via joins).
+/// `insert`, `get`, `rank`, `select`, `pop_max`, `split_at_key`,
+/// `split_at_rank` and `join`, all in O(log n) (splits: O(log² n) via
+/// joins).
 ///
 /// This is the local-reservoir structure of the paper (Section 3.2): each PE
 /// keeps its part of the distributed sample in one of these, keyed by
@@ -306,8 +307,9 @@ impl<K: Ord + Clone, V> BPlusTree<K, V> {
     }
 
     /// Remove the entry under `k`, if present. O(log² n) — composed from
-    /// split and join, as the paper's tree never needs single-item deletes
-    /// on its hot path (bulk discards use `split_at_key`).
+    /// split and join. The one single-item delete on a hot path, the
+    /// growing-mode eviction, uses the in-place [`Self::pop_max`]; bulk
+    /// discards use `split_at_key`.
     pub fn remove(&mut self, k: &K) -> Option<V> {
         if !self.contains(k) {
             return None;
@@ -340,6 +342,20 @@ impl<K: Ord + Clone, V> BPlusTree<K, V> {
         Some(rest)
     }
 
+    /// Remove and return the largest entry. O(log n) and in place: one
+    /// walk down the rightmost spine, with no split or join; it allocates
+    /// only when a merge grows a left sibling. This is the growing-mode
+    /// reservoir's eviction.
+    pub fn pop_max(&mut self) -> Option<(K, V)> {
+        let popped = pop_max_rec(&mut self.root, self.degree / 2);
+        if let Node::Inner(inner) = &mut self.root {
+            if inner.children.len() == 1 {
+                self.root = inner.children.pop().expect("one child");
+            }
+        }
+        popped
+    }
+
     /// In-order iterator over `(key, value)` references.
     pub fn iter(&self) -> Iter<'_, K, V> {
         Iter::new(&self.root)
@@ -360,6 +376,31 @@ impl<K: Ord + Clone, V> BPlusTree<K, V> {
     {
         let h = self.root.height();
         crate::node::check_node(&self.root, self.degree, true, h);
+    }
+
+    /// Each level's node fills in key order, root level first: children
+    /// per inner node, entries per leaf. Test helper for tests that follow
+    /// how an operation reshapes the tree.
+    #[doc(hidden)]
+    pub fn level_fills(&self) -> Vec<Vec<usize>> {
+        let mut levels = Vec::new();
+        let mut level = vec![&self.root];
+        while !level.is_empty() {
+            let mut fills = Vec::with_capacity(level.len());
+            let mut below = Vec::new();
+            for node in level {
+                match node {
+                    Node::Leaf(entries) => fills.push(entries.len()),
+                    Node::Inner(inner) => {
+                        fills.push(inner.children.len());
+                        below.extend(&inner.children);
+                    }
+                }
+            }
+            levels.push(fills);
+            level = below;
+        }
+        levels
     }
 }
 
@@ -439,6 +480,57 @@ fn insert_rec<K: Ord + Clone, V>(
             }
         }
     }
+}
+
+/// Pop the largest entry below `node`, decrementing the cached sizes on
+/// the way back up. A last child the pop left underfull is repaired from
+/// its left sibling: borrow that sibling's last entry (or child) and
+/// refresh the one separator between them, or merge into the sibling. The
+/// last child has no separator, so no other separator changes.
+fn pop_max_rec<K: Ord + Clone, V>(node: &mut Node<K, V>, min_fill: usize) -> Option<(K, V)> {
+    let inner = match node {
+        Node::Leaf(entries) => return entries.pop(),
+        Node::Inner(inner) => inner,
+    };
+    let popped = pop_max_rec(inner.children.last_mut().expect("children"), min_fill)?;
+    inner.size -= 1;
+    let [.., left, last] = inner.children.as_mut_slice() else {
+        unreachable!("inner nodes have at least two children");
+    };
+    let sep = inner.seps.last_mut().expect("two children, one separator");
+    match (left, last) {
+        (Node::Leaf(l), Node::Leaf(r)) if r.len() < min_fill => {
+            if l.len() > min_fill {
+                r.insert(0, l.pop().expect("nonempty leaf"));
+                *sep = l.last().expect("nonempty leaf").0.clone();
+            } else {
+                l.append(r);
+                inner.children.pop();
+                inner.seps.pop();
+            }
+        }
+        (Node::Inner(l), Node::Inner(r)) if r.children.len() < min_fill => {
+            if l.children.len() > min_fill {
+                // Rotate `l`'s last child over: the parent separator (the
+                // moved child's max) goes down into `r`, and `l`'s last
+                // separator (its new max) comes up.
+                let child = l.children.pop().expect("nonempty inner");
+                l.size -= child.size();
+                r.size += child.size();
+                let up = l.seps.pop().expect("nonempty inner");
+                r.seps.insert(0, mem::replace(sep, up));
+                r.children.insert(0, child);
+            } else {
+                l.seps.push(inner.seps.pop().expect("two children"));
+                l.seps.append(&mut r.seps);
+                l.children.append(&mut r.children);
+                l.size += r.size;
+                inner.children.pop();
+            }
+        }
+        _ => {}
+    }
+    Some(popped)
 }
 
 /// Result of attaching a subtree along a spine.

@@ -182,3 +182,50 @@ fn from_sorted_boundary_sizes() {
         }
     }
 }
+
+#[test]
+fn pop_max_on_empty_then_single_entry() {
+    let mut t: BPlusTree<u64, u64> = BPlusTree::with_degree(MIN_DEGREE);
+    assert_eq!(t.pop_max(), None);
+    t.check_invariants();
+    t.insert(7, 70);
+    assert_eq!(t.pop_max(), Some((7, 70)));
+    assert!(t.is_empty());
+    t.check_invariants();
+    assert_eq!(t.pop_max(), None);
+}
+
+#[test]
+fn pop_max_drains_a_deep_tree_through_every_repair() {
+    // A scrambled insertion order leaves nodes at assorted fills, so the
+    // drain meets the borrow and the merge at both node kinds.
+    let n = 300u64;
+    let mut t = tree_of((0..n).map(|i| (i * 7919) % n), MIN_DEGREE);
+    assert!(t.height() >= 3, "height {}", t.height());
+    // Leaf borrow, leaf merge, inner borrow, inner merge, root collapse.
+    let mut seen = [0usize; 5];
+    let mut before = t.level_fills();
+    for want in (0..n).rev() {
+        assert_eq!(t.pop_max(), Some((want, want)));
+        t.check_invariants();
+        let after = t.level_fills();
+        if after.len() < before.len() {
+            seen[4] += 1;
+        }
+        // Compare level by level from the leaves up. A merge drops a node
+        // from its level; a borrow shrinks the last node's left sibling,
+        // which nothing else on that level touches.
+        for (up, (b, a)) in before.iter().rev().zip(after.iter().rev()).enumerate() {
+            let kind = if up == 0 { 0 } else { 2 };
+            if a.len() < b.len() {
+                seen[kind + 1] += 1;
+            } else if b.len() >= 2 && a[b.len() - 2] < b[b.len() - 2] {
+                seen[kind] += 1;
+            }
+        }
+        before = after;
+    }
+    assert!(t.is_empty());
+    assert_eq!(t.pop_max(), None);
+    assert!(seen.iter().all(|&c| c > 0), "repairs seen: {seen:?}");
+}

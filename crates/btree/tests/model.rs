@@ -14,6 +14,7 @@ enum Op {
     SplitKeyExclusive(u64),
     SplitRank(usize),
     PopMin,
+    PopMax,
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -24,6 +25,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         1 => (0u64..500).prop_map(Op::SplitKeyExclusive),
         1 => (0usize..600).prop_map(Op::SplitRank),
         1 => Just(Op::PopMin),
+        2 => Just(Op::PopMax),
     ]
 }
 
@@ -82,6 +84,9 @@ proptest! {
                         model.remove(&k);
                     }
                     prop_assert_eq!(tree.pop_min(), want);
+                }
+                Op::PopMax => {
+                    prop_assert_eq!(tree.pop_max(), model.pop_last());
                 }
             }
             check_equal(&tree, &model);

@@ -37,7 +37,8 @@
 //!   kernels run chunk after chunk on the calling thread, straight into
 //!   the tree: no pool scope, no lock, no buffer. Growing mode keeps the
 //!   tree at `cap` by evicting its largest entry, so the bound a key must
-//!   beat is always the exact local threshold.
+//!   beat is always the exact local threshold. The eviction is
+//!   [`BPlusTree::pop_max`], in place and O(log n) per kept key.
 //! * **Pooled** — a multi-chunk batch on a pool with helpers runs one task
 //!   per chunk into a per-chunk buffer, and a sequential epilogue merges
 //!   the buffers in chunk order. In threshold mode that is the inline
@@ -373,8 +374,7 @@ impl Sink for TreeSink<'_> {
         self.tree.insert(key, weight);
         self.inserted += 1;
         if self.tree.len() > self.cap {
-            let max = *self.tree.max().expect("over capacity").0;
-            self.tree.remove(&max);
+            self.tree.pop_max();
         }
         if self.tree.len() >= self.cap {
             self.bound = self.tree.max().expect("at capacity").0.key;

@@ -62,25 +62,34 @@ mod tests {
 
     #[test]
     fn results_are_deterministic_and_thread_count_independent() {
-        let run = |threads: usize| {
-            let mut r = LocalReservoir::new(50, 32, Pool::new(threads), 99).with_chunk_items(256);
-            // Growing phase first, then threshold scans.
-            r.process_weighted(&batch(3_000, |i| 1.0 + (i % 7) as f64), None);
-            let t = r.tree().max().unwrap().0.key;
-            r.process_weighted(&batch(5_000, |i| 1.0 + (i % 5) as f64), Some(t));
-            r.process_uniform(&batch(5_000, |_| 1.0), Some(0.01));
-            let mut entries: Vec<(u64, u64)> = r
-                .tree()
-                .iter()
-                .map(|(k, _)| (k.id, k.key.to_bits()))
-                .collect();
-            entries.sort_unstable();
-            entries
-        };
-        let four = run(4);
-        assert_eq!(four, run(4), "same seed + threads must reproduce");
-        assert_eq!(four, run(1), "the inline scan draws the same sample");
-        assert_eq!(four, run(2));
+        // Cap 50 at degree 32 is a root over a few leaves. Cap 2,000 at
+        // degree 4 is several levels deep, so the inline run's growing-mode
+        // evictions (`pop_max`) rebalance inner nodes, while the pooled runs
+        // buffer their chunks and cut with `split_at_rank` instead.
+        for (cap, degree, growing) in [(50, 32, 3_000), (2_000, 4, 50_000)] {
+            let run = |threads: usize| {
+                let mut r =
+                    LocalReservoir::new(cap, degree, Pool::new(threads), 99).with_chunk_items(256);
+                // Growing phase first, then threshold scans.
+                r.process_weighted(&batch(growing, |i| 1.0 + (i % 7) as f64), None);
+                assert_eq!(r.last_scope().is_some(), threads > 1, "cap {cap}");
+                let t = r.tree().max().unwrap().0.key;
+                r.process_weighted(&batch(5_000, |i| 1.0 + (i % 5) as f64), Some(t));
+                r.process_uniform(&batch(5_000, |_| 1.0), Some(0.01));
+                r.tree().check_invariants();
+                let mut entries: Vec<(u64, u64)> = r
+                    .tree()
+                    .iter()
+                    .map(|(k, _)| (k.id, k.key.to_bits()))
+                    .collect();
+                entries.sort_unstable();
+                entries
+            };
+            let four = run(4);
+            assert_eq!(four, run(4), "same seed + threads must reproduce");
+            assert_eq!(four, run(1), "the inline scan draws the same sample");
+            assert_eq!(four, run(2));
+        }
     }
 
     #[test]
