@@ -8,11 +8,11 @@
 //!
 //! Emits a human-readable table on stdout and a machine-readable
 //! `BENCH_par_scan.json` (override the path with `RESERVOIR_BENCH_OUT`) —
-//! the recorded perf trajectory CI uploads as a non-gating artifact. The
-//! schema keeps every pre-engine field (`items_per_s`, `speedup_vs_seq`,
-//! `modeled_speedup`, `steals_per_batch`, `worker_imbalance`) so the
-//! trajectory stays comparable. Honours `RESERVOIR_BENCH_QUICK=1` for a
-//! reduced batch size.
+//! the recorded perf trajectory CI uploads as a non-gating artifact. Each
+//! sweep row keeps the pre-engine fields `items_per_s`, `speedup_vs_seq`,
+//! `modeled_speedup` and `worker_imbalance`, so the trajectory stays
+//! comparable. Honours `RESERVOIR_BENCH_QUICK=1` for a reduced batch
+//! size.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -38,7 +38,6 @@ struct Sweep {
     threads: usize,
     items_per_s: f64,
     speedup_vs_seq: f64,
-    steals: u64,
     worker_imbalance: f64,
 }
 
@@ -91,13 +90,11 @@ fn main() {
             let mut engine = ReservoirProtocol::new(CommBackend::new(&comm, &cfg), cfg);
             // Warm up: establishes the threshold and wakes the crew.
             let _ = engine.step(items_ref);
-            let mut steals = 0u64;
             let mut max_busy = 0.0f64;
             let mut sum_busy = 0.0f64;
             let per = time_reps(
                 || {
-                    let report = engine.step(items_ref);
-                    steals += report.scan.steals;
+                    let _ = engine.step(items_ref);
                     if let Some(par) = engine.backend().last_par_scan() {
                         max_busy += par.max_busy_s();
                         sum_busy += par.total_busy_s();
@@ -105,15 +102,14 @@ fn main() {
                 },
                 reps,
             );
-            (per, steals, max_busy, sum_busy)
+            (per, max_busy, sum_busy)
         });
-        let (per, steals, max_busy, sum_busy) = result[0];
+        let (per, max_busy, sum_busy) = result[0];
         let items_per_s = b as f64 / per;
         sweep.push(Sweep {
             threads,
             items_per_s,
             speedup_vs_seq: items_per_s / baseline,
-            steals: steals / reps as u64,
             // max/mean worker busy time: 1.0 = perfectly balanced. One
             // worker (the inline scan, which reports no per-worker
             // breakdown) is trivially balanced.
@@ -132,16 +128,15 @@ fn main() {
          calibrated serial fraction: {:.3}",
         baseline, costs.par_serial_frac
     );
-    println!("\n| threads | items/s | speedup vs seq | modeled | steals/batch | imbalance |");
-    println!("|---|---|---|---|---|---|");
+    println!("\n| threads | items/s | speedup vs seq | modeled | imbalance |");
+    println!("|---|---|---|---|---|");
     for s in &sweep {
         println!(
-            "| {} | {:.3e} | {:.2}x | {:.2}x | {} | {:.2} |",
+            "| {} | {:.3e} | {:.2}x | {:.2}x | {:.2} |",
             s.threads,
             s.items_per_s,
             s.speedup_vs_seq,
             costs.scan_speedup(s.threads as u64),
-            s.steals,
             s.worker_imbalance,
         );
     }
@@ -170,12 +165,11 @@ fn main() {
             json,
             "    {{\"threads\": {}, \"items_per_s\": {:.6e}, \
              \"speedup_vs_seq\": {:.4}, \"modeled_speedup\": {:.4}, \
-             \"steals_per_batch\": {}, \"worker_imbalance\": {:.4}}}{}",
+             \"worker_imbalance\": {:.4}}}{}",
             s.threads,
             s.items_per_s,
             s.speedup_vs_seq,
             costs.scan_speedup(s.threads as u64),
-            s.steals,
             s.worker_imbalance,
             if i + 1 < sweep.len() { "," } else { "" },
         );

@@ -46,9 +46,20 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn behaves_like_btreemap(ops in prop::collection::vec(op_strategy(), 1..120), degree in 4usize..33) {
+    fn behaves_like_btreemap(
+        prefill in 0usize..600,
+        ops in prop::collection::vec(op_strategy(), 1..120),
+        degree in 4usize..33,
+    ) {
         let mut tree: BPlusTree<u64, u32> = BPlusTree::with_degree(degree);
         let mut model: BTreeMap<u64, u32> = BTreeMap::new();
+        // Scrambled distinct keys below 1009 first, so small degrees start
+        // at height >= 3 and the ops reach the repairs of a deep tree.
+        for i in 0..prefill as u64 {
+            let k = i * 7919 % 1009;
+            prop_assert_eq!(tree.insert(k, i as u32), model.insert(k, i as u32));
+        }
+        check_equal(&tree, &model);
         for op in ops {
             match op {
                 Op::Insert(k, v) => {

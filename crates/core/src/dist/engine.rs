@@ -27,7 +27,7 @@
 //!
 //! | backend | substrate | insert | select |
 //! |---|---|---|---|
-//! | [`CommBackend`](crate::dist::threaded::CommBackend) | real [`Collectives`](reservoir_comm::Collectives) | jump scans into a [`LocalReservoir`](crate::dist::local::LocalReservoir) | `select_threaded` over the wire |
+//! | [`CommBackend`](crate::dist::threaded::CommBackend) | real [`Collectives`](reservoir_comm::Collectives) | jump scans into a [`LocalReservoir`](crate::dist::local::LocalReservoir) | one-task `select_threaded_many` over the wire |
 //! | [`GatherBackend`](crate::dist::gather::GatherBackend) | real collectives, root-funnel *policy* | jump scans + ship candidates to the root | sequential quickselect at the root, broadcast |
 //! | [`SimBackend`](crate::dist::sim::SimBackend) | α–β [`CostModel`](reservoir_comm::CostModel) | statistical (Poissonized) insertion, costs charged | `select_conductor` folds, costs charged |
 //!
@@ -90,10 +90,10 @@ impl Charge {
 #[derive(Clone, Debug, Default)]
 pub struct InsertOutcome {
     /// Scan counters (the simulated backend fills `processed`/`inserted`;
-    /// the threaded backends fill everything including the parallel
-    /// chunk/steal/spawn counts). `inserted` counts this endpoint's
-    /// *contribution* — reservoir insertions on the distributed policy,
-    /// candidates shipped to the root on the gather policy.
+    /// the threaded backends fill everything, the jump and chunk counts
+    /// included). `inserted` counts this endpoint's *contribution* —
+    /// reservoir insertions on the distributed policy, candidates shipped
+    /// to the root on the gather policy.
     pub stats: ScanStats,
 }
 

@@ -35,27 +35,27 @@
 //!
 //! * **Inline** — on a one-worker [`Pool`], or for a one-chunk batch, the
 //!   kernels run chunk after chunk on the calling thread, straight into
-//!   the tree: no pool scope, no lock, no buffer. Growing mode keeps the
+//!   the tree: no pool run, no lock, no buffer. Growing mode keeps the
 //!   tree at `cap` by evicting its largest entry, so the bound a key must
 //!   beat is always the exact local threshold. The eviction is
 //!   [`BPlusTree::pop_max`], in place and O(log n) per kept key.
 //! * **Pooled** — a multi-chunk batch on a pool with helpers runs one task
-//!   per chunk into a per-chunk buffer, and a sequential epilogue merges
-//!   the buffers in chunk order. In threshold mode that is the inline
-//!   insertion sequence exactly. In growing mode the chunks filter against
-//!   a **relaxed snapshot of a shared bound**: an `AtomicU64` (f64 bits —
-//!   bit order equals numeric order for the positive keys) that starts at
-//!   the pre-batch local threshold (or +∞) and is `fetch_min`-lowered to
-//!   each buffer's own `cap`-th smallest key as buffers fill. Every
-//!   published value is the `cap`-th smallest of a *subset* of the final
-//!   key multiset, hence an upper bound on the final threshold, so the
-//!   filter only discards keys that cannot be among the final `cap`
-//!   smallest, however stale the snapshot a worker read; the epilogue
-//!   re-prunes to the `cap` smallest.
+//!   per chunk ([`Pool::run`]) into a per-chunk buffer, and a sequential
+//!   epilogue merges the buffers in chunk order. In threshold mode that is
+//!   the inline insertion sequence exactly. In growing mode the chunks
+//!   filter against a **relaxed snapshot of a shared bound**: an
+//!   `AtomicU64` (f64 bits — bit order equals numeric order for the
+//!   positive keys) that starts at the pre-batch local threshold (or +∞)
+//!   and is `fetch_min`-lowered to each buffer's own `cap`-th smallest key
+//!   as buffers fill. Every published value is the `cap`-th smallest of a
+//!   *subset* of the final key multiset, hence an upper bound on the final
+//!   threshold, so the filter only discards keys that cannot be among the
+//!   final `cap` smallest, however stale the snapshot a worker read; the
+//!   epilogue re-prunes to the `cap` smallest.
 //!
 //! Either way the reservoir ends as the same key set — independent of
-//! snapshot timing, steal order and thread count — so a fixed seed gives
-//! one sample at every `threads_per_pe`.
+//! snapshot timing, of which worker ran which chunk and of the thread
+//! count — so a fixed seed gives one sample at every `threads_per_pe`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -95,9 +95,6 @@ pub struct ScanStats {
     pub jumps: u64,
     /// Chunks the batch was split into, one RNG stream each.
     pub chunks: u64,
-    /// Chunk tasks a pool worker took from another worker's queue (0 on
-    /// inline scans).
-    pub steals: u64,
 }
 
 /// A PE's local reservoir over the augmented B+ tree.
@@ -206,7 +203,7 @@ impl LocalReservoir {
         self.clear();
     }
 
-    /// The pool's report (steals, per-worker busy seconds) for the most
+    /// The pool's report (tasks, per-worker busy seconds) for the most
     /// recent batch; `None` when it ran inline or before the first batch.
     pub fn last_scope(&self) -> Option<&ScopeReport> {
         self.last_scope.as_ref()
@@ -291,16 +288,13 @@ impl LocalReservoir {
         let shared = AtomicU64::new(local_threshold(&self.tree, cap).to_bits());
         let slots: Vec<Mutex<ChunkOut>> = (0..chunks.len()).map(|_| Mutex::default()).collect();
         stats.chunks = slots.len() as u64;
-        let (_, report) = self.pool.scope(|s| {
-            for (c, chunk) in chunks.enumerate() {
-                let (slot, shared) = (&slots[c], &shared);
-                s.spawn(move |_| {
-                    let mut rng = batch.rng_for(c, StreamKind::Custom(CHUNK_STREAM));
-                    let mut buf = ChunkBuf::new(shared, cap);
-                    let jumps = scan_chunk(chunk, threshold, uniform, &mut rng, &mut buf);
-                    *slot.lock().expect("chunk slot poisoned") = (buf.candidates, jumps);
-                });
-            }
+        let report = self.pool.run(chunks.len(), |c| {
+            // `Chunks::nth` computes the chunk's bounds: O(1), no walk.
+            let chunk = chunks.clone().nth(c).expect("one task per chunk");
+            let mut rng = batch.rng_for(c, StreamKind::Custom(CHUNK_STREAM));
+            let mut buf = ChunkBuf::new(&shared, cap);
+            let jumps = scan_chunk(chunk, threshold, uniform, &mut rng, &mut buf);
+            *slots[c].lock().expect("chunk slot poisoned") = (buf.candidates, jumps);
         });
         // Sequential epilogue: merge every chunk's survivors in chunk
         // order, then re-prune growing mode to the cap smallest of the
@@ -316,7 +310,6 @@ impl LocalReservoir {
         if self.tree.len() > cap {
             let _ = self.tree.split_at_rank(cap);
         }
-        stats.steals = report.steals;
         self.last_scope = Some(report);
         stats
     }

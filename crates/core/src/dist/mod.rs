@@ -315,7 +315,7 @@ pub struct BatchReport {
     /// Items inserted into *this PE's* local reservoir during the batch.
     pub inserted: u64,
     /// The local scan's work counters for this batch, including its
-    /// chunk and steal counts.
+    /// jump and chunk counts.
     pub scan: local::ScanStats,
     /// Wall-clock seconds this batch spent per algorithm phase on this PE
     /// (`ingest` is always 0 here; it accrues in the `run_pipeline`

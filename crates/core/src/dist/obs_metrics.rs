@@ -30,10 +30,6 @@ pub(crate) static SCAN_CHUNKS: LazyCounter = LazyCounter::new(
     "scan_chunks_total",
     "chunks the local scans split batches into, one RNG stream each",
 );
-pub(crate) static SCAN_STEALS: LazyCounter = LazyCounter::new(
-    "scan_steals_total",
-    "scan chunk tasks stolen across pool workers",
-);
 pub(crate) static SCAN_INSERTED: LazyCounter = LazyCounter::new(
     "scan_inserted_total",
     "items that entered a local reservoir during scans",
@@ -95,7 +91,6 @@ pub(crate) fn record_step(
         trace::emit(pe, TraceKind::SelectRound, rounds as u64, union);
     }
     SCAN_CHUNKS.add(stats.chunks);
-    SCAN_STEALS.add(stats.steals);
     SCAN_INSERTED.add(stats.inserted);
     record_phases(times);
     trace::emit(pe, TraceKind::BatchEnd, seq, union);

@@ -4,9 +4,9 @@
 //! The protocol body lives in [`crate::dist::engine`]; this module
 //! supplies the substrate — [`CommBackend`], which scans a real
 //! [`LocalReservoir`] and runs each engine step over the wire (`sum_u64`,
-//! `select_threaded`, `exscan`), measuring wall-clock into the phase slot
-//! the engine names — and keeps `DistributedSampler` as the thin
-//! stable-API wrapper over `ReservoirProtocol<CommBackend>`.
+//! one-task `select_threaded_many`, `exscan`), measuring wall-clock into
+//! the phase slot the engine names — and keeps `DistributedSampler` as
+//! the thin stable-API wrapper over `ReservoirProtocol<CommBackend>`.
 //!
 //! `process_batch` must be called collectively (same number of calls on
 //! every PE, empty slices allowed); all other methods are local except
@@ -20,7 +20,7 @@ use reservoir_btree::SampleKey;
 use reservoir_comm::{Collectives, Communicator};
 use reservoir_par::{Pool, ScopeReport};
 use reservoir_rng::{DefaultRng, SeedSequence, StreamKind};
-use reservoir_select::{select_threaded, SelectParams, SelectResult, TargetRank};
+use reservoir_select::{select_threaded_many, SelectParams, SelectResult, TargetRank};
 use reservoir_stream::ingest::MiniBatch;
 use reservoir_stream::Item;
 
@@ -122,16 +122,16 @@ impl<C: Communicator> SamplerBackend for CommBackend<'_, C> {
         charge: Charge,
     ) -> SelectResult {
         let t0 = Instant::now();
-        let res = select_threaded(
+        let many = select_threaded_many(
             self.comm,
-            self.local.tree(),
-            target,
-            union,
+            &[self.local.tree()],
+            &[target],
+            &[union],
             SelectParams::with_pivots(pivots),
-            &mut self.select_rng,
+            std::slice::from_mut(&mut self.select_rng),
         );
         *charge.slot(times) += t0.elapsed().as_secs_f64();
-        res
+        many.results[0]
     }
 
     fn prune(&mut self, t: &SampleKey, times: &mut PhaseTimes, charge: Charge) {

@@ -1,4 +1,4 @@
-//! Intra-PE parallelism: a scoped work-stealing thread pool.
+//! Intra-PE parallelism: a thread pool that runs one flat task list.
 //!
 //! The distributed protocol (Algorithm 1) is communication-efficient per
 //! *PE*, and its companion work — *Parallel Weighted Random Sampling*
@@ -9,12 +9,11 @@
 //! the same law as one long scan. `reservoir_core::dist::LocalReservoir`
 //! owns that chunked scan; this crate supplies the workers it runs on.
 //!
-//! [`pool`] is an offline dev-shim-style stand-in for the `rayon` API
-//! subset this workspace needs (`scope`, `join`, chunked `par_for`): a
-//! crew of `threads − 1` helper threads spawned once per [`Pool`] and
-//! parked between scopes, per-worker deques and back-stealing. No
-//! crates.io access is assumed; swap for `rayon` by replacing the `Pool`
-//! internals when the registry is reachable.
+//! [`pool`] holds the whole scheduler: [`Pool::run`] hands `0..tasks` to
+//! the calling thread and a crew of `threads − 1` helper threads, spawned
+//! once per [`Pool`] and parked between runs, which claim task indices
+//! from one shared counter. Fixed chunks of equal size need nothing more:
+//! no per-worker queues and no nested tasks.
 //!
 //! This crate sits below `reservoir-core`, which builds one [`Pool`] per
 //! PE from its `threads_per_pe` knob and shares its crew among every
@@ -22,4 +21,4 @@
 
 pub mod pool;
 
-pub use pool::{chunk_ranges, join, Pool, Scope, ScopeReport};
+pub use pool::{Pool, ScopeReport};

@@ -1,60 +1,43 @@
-//! A scoped work-stealing thread pool: the `rayon` API subset the
-//! workspace needs, vendored dev-shim-style (the build environment has no
-//! crates.io access).
+//! A fixed-width thread pool that runs one flat task list: the calling
+//! thread and a crew of helpers claim task indices from one shared
+//! counter until the list runs out. That is all the workspace asks of it
+//! — the per-PE local scan hands it one task per fixed-size chunk and
+//! never nests — so there are no per-worker queues and no tasks that
+//! spawn tasks.
 //!
-//! Design: [`Pool::scope`] collects tasks into per-worker FIFO deques
-//! (round-robin at spawn time), then runs them on `threads` workers — the
-//! calling thread plus the `threads − 1` helpers of a crew that
-//! [`Pool::new`] spawns once and parks on a condvar between scopes. A
-//! worker pops its own deque from the front and, when dry, **steals from
-//! the back** of a victim's deque; steals are counted and reported. Tasks
-//! may spawn further tasks (they receive the [`Scope`]); the scope returns
-//! only when every task has finished. A panicking task poisons the scope —
-//! the other workers bail out and the panic resumes on the caller once
-//! every worker has left the scope, leaving the crew serving.
+//! Design: [`Pool::new`] spawns the crew's `threads − 1` helpers once and
+//! parks them on a condvar between runs. [`Pool::run`] publishes the task
+//! list to the crew, works it from the calling thread too, and returns
+//! once every task has finished. A panicking task exhausts the list, so
+//! no worker claims another; its panic resumes on the caller once every
+//! worker has left the run, leaving the crew serving.
 //!
-//! Clones share one crew and their scopes take turns. A scope opened from
+//! Clones share one crew and their runs take turns. A run started from
 //! inside a task that already runs on the same crew cannot wait for the
-//! crew (which is busy with the outer scope), so it runs on its calling
+//! crew (which is busy with the outer run), so it runs on its calling
 //! thread alone.
 //!
 //! Safety of the crew hand-off: the caller publishes a type-erased pointer
-//! to the [`Scope`] under the crew mutex, helpers register themselves
-//! (`working += 1`) under that same mutex before dereferencing it, and the
-//! caller blocks until the job is retracted **and** `working` is back to
-//! zero before the scope frame is allowed to unwind — so no helper can
-//! touch the scope after it dies.
+//! to the run's shared state under the crew mutex, helpers register
+//! themselves (`working += 1`) under that same mutex before dereferencing
+//! it, and the caller blocks until the job is retracted **and** `working`
+//! is back to zero before the run's frame is allowed to unwind — so no
+//! helper can touch the run after it dies.
 
 use std::any::Any;
-use std::collections::VecDeque;
-use std::ops::Range;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-
-use reservoir_obs::LazyCounter;
-
-/// Registry view of the per-scope `steals` tally (slow path only: a
-/// worker popping its own queue never touches it).
-static POOL_STEALS: LazyCounter = LazyCounter::new(
-    "pool_steals_total",
-    "tasks stolen from another worker's deque (all scopes, process-wide)",
-);
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-/// A task queued inside a scope; receives the scope so it can spawn more.
-type Task<'scope> = Box<dyn FnOnce(&Scope<'scope>) + Send + 'scope>;
-
-/// What one [`Pool::scope`] execution did.
+/// What one [`Pool::run`] execution did.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ScopeReport {
     /// Tasks executed to completion.
     pub tasks: u64,
-    /// Tasks a worker took from another worker's deque.
-    pub steals: u64,
     /// Seconds each worker spent executing tasks (index = worker id; the
-    /// calling thread is worker 0). Idle spinning is not counted.
+    /// calling thread is worker 0). Claiming and waiting are not counted.
     pub worker_busy_s: Vec<f64>,
 }
 
@@ -71,171 +54,69 @@ impl ScopeReport {
     }
 }
 
-/// The execution context of one [`Pool::scope`] call. Tasks registered
-/// with [`Scope::spawn`] run exactly once, on some worker of the scope.
-pub struct Scope<'scope> {
-    queues: Box<[Mutex<VecDeque<Task<'scope>>>]>,
-    /// Tasks queued or running, not yet finished.
-    pending: AtomicUsize,
-    /// Round-robin cursor for queue assignment at spawn time.
+/// The state one [`Pool::run`] shares between its workers.
+struct Run<'a> {
+    body: &'a (dyn Fn(usize) + Sync),
+    tasks: usize,
+    /// The next unclaimed task index; a panicking task sets it to
+    /// `tasks`. `Relaxed` is enough: the counter only hands out indices
+    /// and publishes no data — a task's writes reach the caller through
+    /// the crew mutex each helper signs off under.
     next: AtomicUsize,
-    steals: AtomicU64,
-    executed: AtomicU64,
-    /// Set when a task panicked: the other workers stop taking tasks.
-    panicked: AtomicBool,
-    /// First caught panic payload; resumed on the caller once the scope
-    /// is quiescent.
+    /// First caught panic payload; resumed on the caller once the run is
+    /// quiescent.
     panic_payload: Mutex<Option<Box<dyn Any + Send>>>,
     busy_s: Box<[Mutex<f64>]>,
 }
 
-/// Decrements `pending` when a task finishes — including by panic, where
-/// it also poisons the scope so the remaining workers exit.
-struct TaskGuard<'a, 'scope> {
-    scope: &'a Scope<'scope>,
-}
-
-impl Drop for TaskGuard<'_, '_> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.scope.panicked.store(true, Ordering::SeqCst);
-        }
-        self.scope.pending.fetch_sub(1, Ordering::SeqCst);
-    }
-}
-
-impl<'scope> Scope<'scope> {
-    fn new(workers: usize) -> Self {
-        Scope {
-            queues: (0..workers)
-                .map(|_| Mutex::new(VecDeque::new()))
-                .collect::<Vec<_>>()
-                .into_boxed_slice(),
-            pending: AtomicUsize::new(0),
-            next: AtomicUsize::new(0),
-            steals: AtomicU64::new(0),
-            executed: AtomicU64::new(0),
-            panicked: AtomicBool::new(false),
-            panic_payload: Mutex::new(None),
-            busy_s: (0..workers)
-                .map(|_| Mutex::new(0.0))
-                .collect::<Vec<_>>()
-                .into_boxed_slice(),
-        }
-    }
-
-    /// Queue a task; it will run exactly once before the scope returns
-    /// (unless another task panics first, which aborts the scope).
-    pub fn spawn<F>(&self, f: F)
-    where
-        F: FnOnce(&Scope<'scope>) + Send + 'scope,
-    {
-        self.pending.fetch_add(1, Ordering::SeqCst);
-        let w = self.next.fetch_add(1, Ordering::Relaxed) % self.queues.len();
-        self.queues[w]
-            .lock()
-            .expect("pool queue poisoned")
-            .push_back(Box::new(f));
-    }
-
-    /// Own queue front first; then steal from the *back* of the first
-    /// non-empty victim.
-    fn pop(&self, me: usize) -> Option<Task<'scope>> {
-        if let Some(t) = self.queues[me]
-            .lock()
-            .expect("pool queue poisoned")
-            .pop_front()
-        {
-            return Some(t);
-        }
-        let n = self.queues.len();
-        for off in 1..n {
-            let victim = (me + off) % n;
-            if let Some(t) = self.queues[victim]
-                .lock()
-                .expect("pool queue poisoned")
-                .pop_back()
-            {
-                self.steals.fetch_add(1, Ordering::Relaxed);
-                POOL_STEALS.inc();
-                return Some(t);
-            }
-        }
-        None
-    }
-
-    /// Worker loop: run tasks until none are pending anywhere (or the
-    /// scope was poisoned by a panic). Task panics are caught here — the
-    /// first payload is stashed for the caller to resume — so crew
-    /// threads outlive a panicking scope.
+impl Run<'_> {
+    /// Worker loop: claim and run task indices until the list runs out.
+    /// Task panics are caught here — the first payload is stashed for the
+    /// caller to resume — so crew threads outlive a panicking run.
     fn work(&self, me: usize) {
         let mut busy = 0.0f64;
-        let mut idle_spins = 0u32;
         loop {
-            if self.panicked.load(Ordering::Relaxed) {
+            let task = self.next.fetch_add(1, Ordering::Relaxed);
+            if task >= self.tasks {
                 break;
             }
-            match self.pop(me) {
-                Some(task) => {
-                    idle_spins = 0;
-                    let start = Instant::now();
-                    let guard = TaskGuard { scope: self };
-                    let result = std::panic::catch_unwind(AssertUnwindSafe(|| task(self)));
-                    drop(guard);
-                    if let Err(payload) = result {
-                        self.panicked.store(true, Ordering::SeqCst);
-                        let mut slot = self.panic_payload.lock().expect("payload slot poisoned");
-                        slot.get_or_insert(payload);
-                        break;
-                    }
-                    busy += start.elapsed().as_secs_f64();
-                    self.executed.fetch_add(1, Ordering::Relaxed);
-                }
-                None => {
-                    // A running task elsewhere may still spawn more work;
-                    // only an all-idle scope with nothing pending is done.
-                    if self.pending.load(Ordering::SeqCst) == 0 {
-                        break;
-                    }
-                    idle_spins += 1;
-                    if idle_spins > 64 {
-                        std::thread::sleep(Duration::from_micros(20));
-                    } else {
-                        std::thread::yield_now();
-                    }
-                }
+            let start = Instant::now();
+            let result = std::panic::catch_unwind(AssertUnwindSafe(|| (self.body)(task)));
+            if let Err(payload) = result {
+                // Exhaust the list: every later claim lands at or past
+                // `tasks`, and no index below it is handed out twice.
+                self.next.store(self.tasks, Ordering::Relaxed);
+                let mut slot = self.panic_payload.lock().expect("payload slot poisoned");
+                slot.get_or_insert(payload);
+                break;
             }
+            busy += start.elapsed().as_secs_f64();
         }
         *self.busy_s[me].lock().expect("busy slot poisoned") += busy;
-    }
-
-    fn report(&self) -> ScopeReport {
-        ScopeReport {
-            tasks: self.executed.load(Ordering::Relaxed),
-            steals: self.steals.load(Ordering::Relaxed),
-            worker_busy_s: self
-                .busy_s
-                .iter()
-                .map(|m| *m.lock().expect("busy slot poisoned"))
-                .collect(),
-        }
     }
 }
 
 /// The job a crew's helpers run: a type-erased pointer to the live
-/// [`Scope`] plus the epoch that distinguishes it from the previous scope.
+/// [`Run`] plus the epoch that distinguishes it from the previous run.
 /// Helpers only dereference the pointer between job publication and
 /// retraction, both of which happen under the crew mutex.
 #[derive(Clone, Copy)]
 struct CrewJob {
-    scope: *const (),
+    run: *const (),
     epoch: u64,
 }
 
-// SAFETY: the only field that is not `Send` is the scope pointer. It is
-// handed between threads only under the crew's mutex, and the caller
-// keeps the scope alive until every helper has signed off (`Crew::run`).
+// SAFETY: the only field that is not `Send` is the run pointer. It is
+// handed between threads only under the crew's mutex, the caller keeps
+// the run alive until every helper has signed off (`Crew::run`), and
+// helpers only share it by `&`, which is sound because `Run` is `Sync`
+// (checked at compile time just below).
 unsafe impl Send for CrewJob {}
+
+const _: fn() = || {
+    fn shared_by_reference<T: Sync>() {}
+    shared_by_reference::<Run<'static>>();
+};
 
 /// State shared between a crew's callers and helper threads.
 struct CrewShared {
@@ -247,10 +128,10 @@ struct CrewShared {
 }
 
 thread_local! {
-    /// Crews this thread is currently executing a scope of (caller or
-    /// helper side). A nested `Pool::scope` on the same crew would
+    /// Crews this thread is currently executing a run of (caller or
+    /// helper side). A nested `Pool::run` on the same crew would
     /// deadlock — the inner publish waits for the outer job to drain,
-    /// which waits for the nested task to finish — so `scope` consults
+    /// which waits for the nested task to finish — so `run` consults
     /// this stack and runs reentrant calls on the calling thread.
     static ACTIVE_CREWS: std::cell::RefCell<Vec<*const CrewShared>> =
         const { std::cell::RefCell::new(Vec::new()) };
@@ -285,7 +166,7 @@ struct CrewState {
     job: Option<CrewJob>,
     /// Epoch of the most recently published job.
     epoch: u64,
-    /// Helpers currently inside the published scope.
+    /// Helpers currently inside the published run.
     working: usize,
     shutdown: bool,
 }
@@ -319,30 +200,31 @@ impl Crew {
         Crew { shared, handles }
     }
 
-    /// Publish `scope` to the crew, work it from the calling thread too,
+    /// Publish `run` to the crew, work it from the calling thread too,
     /// then retract the job and wait until every helper has signed off —
-    /// only then may the scope die.
-    fn run(&self, scope: &Scope<'_>) {
+    /// only then may the run die.
+    fn run(&self, run: &Run<'_>) {
         let shared = &*self.shared;
         let _active = CrewActivation::enter(shared);
         {
             let mut st = shared.state.lock().expect("crew state poisoned");
-            // Pool clones share the crew; serialize scopes so one job's
+            // Pool clones share the crew; serialize runs so one job's
             // pointer can never clobber another's.
             while st.job.is_some() || st.working > 0 {
                 st = shared.done_cv.wait(st).expect("crew state poisoned");
             }
             st.epoch += 1;
             st.job = Some(CrewJob {
-                scope: scope as *const Scope<'_> as *const (),
+                run: run as *const Run<'_> as *const (),
                 epoch: st.epoch,
             });
         }
         shared.job_cv.notify_all();
-        scope.work(0);
-        // The caller's worker loop only returns once no tasks are pending,
-        // but helpers may still be inside (or just entering) the scope:
-        // retract the job so late wakers skip it, then wait them out.
+        run.work(0);
+        // The caller's worker loop only returns once the task list is
+        // exhausted, but helpers may still be inside (or just entering)
+        // the run: retract the job so late wakers skip it, then wait them
+        // out.
         let mut st = shared.state.lock().expect("crew state poisoned");
         st.job = None;
         while st.working > 0 {
@@ -368,7 +250,7 @@ impl Drop for Crew {
 }
 
 /// A crew helper: park on the condvar, register into each published job
-/// under the lock, run the scope's worker loop, sign off.
+/// under the lock, run the run's worker loop, sign off.
 fn helper_loop(shared: &CrewShared, me: usize) {
     let mut last_epoch = 0u64;
     loop {
@@ -389,13 +271,13 @@ fn helper_loop(shared: &CrewShared, me: usize) {
         };
         last_epoch = job.epoch;
         // SAFETY: `working` was incremented under the lock while the job
-        // was still published, and the caller cannot leave its scope frame
-        // until `working` drops back to zero — the Scope outlives this
+        // was still published, and the caller cannot leave its run frame
+        // until `working` drops back to zero — the Run outlives this
         // dereference. The 'static lifetime is a lie confined to this
-        // call: `Scope::work` never stores the reference.
-        let scope = unsafe { &*(job.scope as *const Scope<'static>) };
+        // call: `Run::work` never stores the reference.
+        let run = unsafe { &*(job.run as *const Run<'static>) };
         let _active = CrewActivation::enter(shared);
-        scope.work(me);
+        run.work(me);
         drop(_active);
         let mut st = shared.state.lock().expect("crew state poisoned");
         st.working -= 1;
@@ -405,8 +287,8 @@ fn helper_loop(shared: &CrewShared, me: usize) {
     }
 }
 
-/// A fixed-width scoped thread pool: the calling thread plus a crew of
-/// `threads − 1` helpers spawned once and woken per [`Pool::scope`].
+/// A fixed-width thread pool: the calling thread plus a crew of
+/// `threads − 1` helpers spawned once and woken per [`Pool::run`].
 /// `threads == 1` runs everything on the calling thread with no helper
 /// threads at all. Cloning a pool shares its crew.
 #[derive(Clone)]
@@ -426,7 +308,7 @@ impl std::fmt::Debug for Pool {
 impl Pool {
     /// A pool of `threads` workers (the calling thread counts as one); its
     /// `threads − 1` helpers are spawned now and sleep on a condvar
-    /// between scopes.
+    /// between runs.
     pub fn new(threads: usize) -> Self {
         assert!(threads >= 1, "a pool needs at least one worker");
         Pool {
@@ -454,31 +336,34 @@ impl Pool {
         }
     }
 
-    /// Run `f` to register tasks, then execute every task (including tasks
-    /// spawned by tasks) on this pool's workers, returning `f`'s result
-    /// and the execution report once **all** tasks have finished.
+    /// Run `body(i)` exactly once for every task index `i` in
+    /// `0..tasks`, on this pool's workers, and return the execution
+    /// report once every task has finished. The caller and the helpers
+    /// claim indices from one shared counter, so which worker runs which
+    /// task varies from run to run.
     ///
-    /// Unlike `rayon::scope`, the registering closure runs to completion
-    /// on the calling thread *before* workers start — the registration
-    /// order is the FIFO order of each worker's initial deque.
-    ///
-    /// A scope opened from a task already running on this pool's crew
+    /// A run started from a task already running on this pool's crew
     /// runs on its calling thread alone (one worker). A panic in any task
     /// propagates out of this call after every worker has stopped; tasks
-    /// not yet started are dropped unexecuted, and the crew keeps serving
-    /// later scopes.
-    pub fn scope<'env, R>(&self, f: impl FnOnce(&Scope<'env>) -> R) -> (R, ScopeReport) {
+    /// not yet claimed never run, and the crew keeps serving later runs.
+    pub fn run(&self, tasks: usize, body: impl Fn(usize) + Sync) -> ScopeReport {
         let crew = self
             .crew
             .as_ref()
             .filter(|c| !CrewActivation::is_active(&c.shared));
-        let scope = Scope::new(if crew.is_some() { self.threads } else { 1 });
-        let result = f(&scope);
+        let workers = if crew.is_some() { self.threads } else { 1 };
+        let run = Run {
+            body: &body,
+            tasks,
+            next: AtomicUsize::new(0),
+            panic_payload: Mutex::new(None),
+            busy_s: (0..workers).map(|_| Mutex::new(0.0)).collect(),
+        };
         match crew {
-            Some(crew) => crew.run(&scope),
-            None => scope.work(0),
+            Some(crew) => crew.run(&run),
+            None => run.work(0),
         }
-        if let Some(payload) = scope
+        if let Some(payload) = run
             .panic_payload
             .lock()
             .expect("payload slot poisoned")
@@ -486,46 +371,15 @@ impl Pool {
         {
             std::panic::resume_unwind(payload);
         }
-        (result, scope.report())
+        ScopeReport {
+            tasks: tasks as u64,
+            worker_busy_s: run
+                .busy_s
+                .iter()
+                .map(|m| *m.lock().expect("busy slot poisoned"))
+                .collect(),
+        }
     }
-
-    /// Run `body(chunk_index, chunk_range)` over the `chunk`-sized chunks
-    /// of `0..len` (the last chunk may be short), one task per chunk.
-    pub fn par_for_chunks<F>(&self, len: usize, chunk: usize, body: F) -> ScopeReport
-    where
-        F: Fn(usize, Range<usize>) + Sync,
-    {
-        let body = &body;
-        let (_, report) = self.scope(|s| {
-            for (i, r) in chunk_ranges(len, chunk).enumerate() {
-                s.spawn(move |_| body(i, r));
-            }
-        });
-        report
-    }
-}
-
-/// Run two closures, `b` on a scoped thread and `a` on the caller, and
-/// return both results (`rayon::join`'s shape). A panic in either side
-/// propagates.
-pub fn join<RA, RB>(a: impl FnOnce() -> RA + Send, b: impl FnOnce() -> RB + Send) -> (RA, RB)
-where
-    RA: Send,
-    RB: Send,
-{
-    std::thread::scope(|s| {
-        let hb = s.spawn(b);
-        let ra = a();
-        let rb = hb.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
-        (ra, rb)
-    })
-}
-
-/// The `chunk`-sized chunk ranges of `0..len`, in order; the partition the
-/// parallel scan distributes over workers. `len == 0` yields no chunks.
-pub fn chunk_ranges(len: usize, chunk: usize) -> impl Iterator<Item = Range<usize>> {
-    assert!(chunk >= 1, "chunk size must be at least 1");
-    (0..len.div_ceil(chunk)).map(move |i| (i * chunk)..((i + 1) * chunk).min(len))
 }
 
 #[cfg(test)]
@@ -534,19 +388,15 @@ mod tests {
     use std::collections::HashSet;
     use std::sync::atomic::AtomicU32;
     use std::thread::ThreadId;
+    use std::time::Duration;
 
-    /// The threads that ran the `tasks` tasks of one scope on `pool`.
-    fn workers_of_one_scope(pool: &Pool, tasks: usize) -> HashSet<ThreadId> {
+    /// The threads that ran the `tasks` tasks of one run on `pool`.
+    fn workers_of_one_run(pool: &Pool, tasks: usize) -> HashSet<ThreadId> {
         let ran = Mutex::new(HashSet::new());
-        pool.scope(|s| {
-            for _ in 0..tasks {
-                let ran = &ran;
-                s.spawn(move |_| {
-                    // Long enough that helpers wake up and take a share.
-                    std::thread::sleep(Duration::from_micros(200));
-                    ran.lock().unwrap().insert(std::thread::current().id());
-                });
-            }
+        pool.run(tasks, |_| {
+            // Long enough that helpers wake up and take a share.
+            std::thread::sleep(Duration::from_micros(200));
+            ran.lock().unwrap().insert(std::thread::current().id());
         });
         ran.into_inner().unwrap()
     }
@@ -555,13 +405,8 @@ mod tests {
     fn every_task_runs_and_scope_joins() {
         let pool = Pool::new(4);
         let counter = AtomicU32::new(0);
-        let (_, report) = pool.scope(|s| {
-            for _ in 0..100 {
-                let c = &counter;
-                s.spawn(move |_| {
-                    c.fetch_add(1, Ordering::SeqCst);
-                });
-            }
+        let report = pool.run(100, |_| {
+            counter.fetch_add(1, Ordering::SeqCst);
         });
         assert_eq!(counter.load(Ordering::SeqCst), 100);
         assert_eq!(report.tasks, 100);
@@ -569,94 +414,58 @@ mod tests {
     }
 
     #[test]
-    fn tasks_can_spawn_tasks() {
-        let pool = Pool::new(3);
-        let counter = AtomicU32::new(0);
-        let (_, report) = pool.scope(|s| {
-            let c = &counter;
-            for _ in 0..5 {
-                s.spawn(move |inner| {
-                    c.fetch_add(1, Ordering::SeqCst);
-                    inner.spawn(move |_| {
-                        c.fetch_add(10, Ordering::SeqCst);
-                    });
-                });
-            }
-        });
-        assert_eq!(counter.load(Ordering::SeqCst), 55);
-        assert_eq!(report.tasks, 10);
-    }
-
-    #[test]
     fn single_thread_pool_runs_inline() {
         let pool = Pool::new(1);
         assert_eq!(pool.helpers(), 0, "one worker needs no helper thread");
         let me = std::thread::current().id();
-        assert_eq!(workers_of_one_scope(&pool, 7), HashSet::from([me]));
-        let (_, report) = pool.scope(|s| s.spawn(|_| {}));
-        assert_eq!(report.steals, 0, "one worker cannot steal");
-    }
-
-    #[test]
-    fn join_returns_both_results() {
-        let (a, b) = join(|| 2 + 2, || "ok".len());
-        assert_eq!((a, b), (4, 2));
+        assert_eq!(workers_of_one_run(&pool, 7), HashSet::from([me]));
+        let report = pool.run(1, |_| {});
+        assert_eq!(report.worker_busy_s.len(), 1, "one worker: the caller");
     }
 
     #[test]
     fn panics_propagate_out_of_scope() {
         let pool = Pool::new(2);
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool.scope(|s| {
-                s.spawn(|_| panic!("task boom"));
-            });
+            pool.run(1, |_| panic!("task boom"));
         }));
         assert!(caught.is_err(), "task panic must reach the caller");
         // The pool stays usable afterwards.
-        let (_, report) = pool.scope(|s| {
-            s.spawn(|_| {});
-        });
+        let report = pool.run(1, |_| {});
         assert_eq!(report.tasks, 1);
     }
 
     #[test]
-    fn chunk_ranges_partition_exactly() {
-        let ranges: Vec<_> = chunk_ranges(10, 4).collect();
-        assert_eq!(ranges, vec![0..4, 4..8, 8..10]);
-        assert_eq!(chunk_ranges(0, 4).count(), 0);
-        assert_eq!(chunk_ranges(4, 4).collect::<Vec<_>>(), vec![0..4]);
-    }
-
-    #[test]
     fn par_for_chunks_covers_every_index_once() {
+        // One task per 64-index chunk, the shape of the chunked scan.
         let pool = Pool::new(4);
-        let len = 1000;
+        let (len, chunk) = (1000usize, 64);
         let marks: Vec<AtomicU32> = (0..len).map(|_| AtomicU32::new(0)).collect();
-        let report = pool.par_for_chunks(len, 64, |_, range| {
-            for i in range {
-                marks[i].fetch_add(1, Ordering::SeqCst);
+        let report = pool.run(len.div_ceil(chunk), |c| {
+            for mark in &marks[c * chunk..len.min((c + 1) * chunk)] {
+                mark.fetch_add(1, Ordering::SeqCst);
             }
         });
         assert!(marks.iter().all(|m| m.load(Ordering::SeqCst) == 1));
-        assert_eq!(report.tasks as usize, len.div_ceil(64));
+        assert_eq!(report.tasks as usize, len.div_ceil(chunk));
     }
 
     #[test]
     fn per_scope_pool_reports_spawns_persistent_reports_none() {
-        // Scopes spawn no threads: every task of every scope runs on the
+        // Runs spawn no threads: every task of every run executes on the
         // caller or on one of the crew's helpers, which were spawned once
         // by `Pool::new`. Thread ids are never reused, so a pool that
-        // spawned per scope would show more than `threads` of them.
+        // spawned per run would show more than `threads` of them.
         let pool = Pool::new(3);
         assert_eq!(pool.helpers(), 2, "threads − 1 helpers, spawned once");
         let mut seen = HashSet::new();
         for _ in 0..4 {
-            seen.extend(workers_of_one_scope(&pool, 12));
+            seen.extend(workers_of_one_run(&pool, 12));
         }
         assert!(seen.contains(&std::thread::current().id()));
         assert!(
             seen.len() <= pool.threads(),
-            "{} distinct threads ran the tasks of four scopes on a 3-worker pool",
+            "{} distinct threads ran the tasks of four runs on a 3-worker pool",
             seen.len()
         );
     }
@@ -669,13 +478,8 @@ mod tests {
         for round in 0..50u32 {
             let counter = AtomicU32::new(0);
             let tasks = 1 + (round % 13);
-            let (_, report) = pool.scope(|s| {
-                for _ in 0..tasks {
-                    let c = &counter;
-                    s.spawn(move |_| {
-                        c.fetch_add(1, Ordering::SeqCst);
-                    });
-                }
+            let report = pool.run(tasks as usize, |_| {
+                counter.fetch_add(1, Ordering::SeqCst);
             });
             assert_eq!(counter.load(Ordering::SeqCst), tasks);
             assert_eq!(report.tasks, tasks as u64);
@@ -687,20 +491,13 @@ mod tests {
     fn persistent_crew_survives_task_panics() {
         let pool = Pool::new(2);
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool.scope(|s| {
-                s.spawn(|_| panic!("crew task boom"));
-            });
+            pool.run(1, |_| panic!("crew task boom"));
         }));
         assert!(caught.is_err(), "task panic must reach the caller");
         // The crew threads are still alive and serving.
         let counter = AtomicU32::new(0);
-        let (_, report) = pool.scope(|s| {
-            for _ in 0..10 {
-                let c = &counter;
-                s.spawn(move |_| {
-                    c.fetch_add(1, Ordering::SeqCst);
-                });
-            }
+        let report = pool.run(10, |_| {
+            counter.fetch_add(1, Ordering::SeqCst);
         });
         assert_eq!(counter.load(Ordering::SeqCst), 10);
         assert_eq!(report.tasks, 10);
@@ -708,40 +505,31 @@ mod tests {
 
     #[test]
     fn reentrant_scope_on_a_persistent_pool_falls_back_instead_of_deadlocking() {
-        // A task that opens another scope on (a clone of) its own crew
-        // must run that scope on its own thread, not wedge the crew.
+        // A task that starts another run on (a clone of) its own crew
+        // must run it on its own thread, not wedge the crew.
         let pool = Pool::new(2);
         let inner_pool = pool.clone();
         let hits = AtomicU32::new(0);
-        let (_, outer) = pool.scope(|s| {
-            let h = &hits;
-            let q = &inner_pool;
-            s.spawn(move |_| {
-                let opener = std::thread::current().id();
-                let ran_on = Mutex::new(HashSet::new());
-                let (_, inner) = q.scope(|inner_s| {
-                    for _ in 0..5 {
-                        let ran_on = &ran_on;
-                        inner_s.spawn(move |_| {
-                            ran_on.lock().unwrap().insert(std::thread::current().id());
-                            h.fetch_add(1, Ordering::SeqCst);
-                        });
-                    }
-                });
-                assert_eq!(inner.tasks, 5);
-                assert_eq!(inner.worker_busy_s.len(), 1, "one worker: the opener");
-                assert_eq!(
-                    ran_on.into_inner().unwrap(),
-                    HashSet::from([opener]),
-                    "the nested scope must run on the thread that opened it"
-                );
-                h.fetch_add(100, Ordering::SeqCst);
+        let outer = pool.run(1, |_| {
+            let opener = std::thread::current().id();
+            let ran_on = Mutex::new(HashSet::new());
+            let inner = inner_pool.run(5, |_| {
+                ran_on.lock().unwrap().insert(std::thread::current().id());
+                hits.fetch_add(1, Ordering::SeqCst);
             });
+            assert_eq!(inner.tasks, 5);
+            assert_eq!(inner.worker_busy_s.len(), 1, "one worker: the opener");
+            assert_eq!(
+                ran_on.into_inner().unwrap(),
+                HashSet::from([opener]),
+                "the nested run must execute on the thread that started it"
+            );
+            hits.fetch_add(100, Ordering::SeqCst);
         });
         assert_eq!(hits.load(Ordering::SeqCst), 105);
         assert_eq!(outer.tasks, 1);
-        // The crew still serves non-reentrant scopes afterwards.
-        let (_, after) = pool.scope(|s| s.spawn(|_| {}));
+        // The crew still serves non-reentrant runs afterwards.
+        let after = pool.run(1, |_| {});
         assert_eq!(after.worker_busy_s.len(), 2);
     }
 
@@ -756,17 +544,12 @@ mod tests {
         );
         assert!(!Pool::new(1).shares_crew_with(&Pool::new(1)));
         let hits = AtomicU32::new(0);
-        let ha = &hits;
-        // Serialized scopes from two clones must both run fine.
-        a.scope(|s| {
-            s.spawn(move |_| {
-                ha.fetch_add(1, Ordering::SeqCst);
-            })
+        // Serialized runs from two clones must both complete.
+        a.run(1, |_| {
+            hits.fetch_add(1, Ordering::SeqCst);
         });
-        b.scope(|s| {
-            s.spawn(move |_| {
-                ha.fetch_add(1, Ordering::SeqCst);
-            })
+        b.run(1, |_| {
+            hits.fetch_add(1, Ordering::SeqCst);
         });
         assert_eq!(hits.load(Ordering::SeqCst), 2);
     }

@@ -1,12 +1,11 @@
-//! Property tests for the work-stealing pool shim: exactly-once task
-//! execution, join-before-return, panic propagation, and exact chunk
-//! partitioning — over arbitrary task counts, thread counts and chunk
-//! geometries.
+//! Property tests for the pool: exactly-once task execution,
+//! join-before-return and panic propagation — over arbitrary task and
+//! thread counts.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use proptest::prelude::*;
-use reservoir_par::{chunk_ranges, Pool};
+use reservoir_par::Pool;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -18,20 +17,12 @@ proptest! {
     ) {
         let pool = Pool::new(threads);
         let ran: Vec<AtomicU64> = (0..tasks).map(|_| AtomicU64::new(0)).collect();
-        let (_, report) = pool.scope(|s| {
-            for slot in &ran {
-                s.spawn(move |_| {
-                    slot.fetch_add(1, Ordering::SeqCst);
-                });
-            }
+        let report = pool.run(tasks, |i| {
+            ran[i].fetch_add(1, Ordering::SeqCst);
         });
         prop_assert!(ran.iter().all(|r| r.load(Ordering::SeqCst) == 1));
         prop_assert_eq!(report.tasks, tasks as u64);
         prop_assert_eq!(report.worker_busy_s.len(), threads);
-        // One worker cannot steal from itself.
-        if threads == 1 {
-            prop_assert_eq!(report.steals, 0);
-        }
     }
 
     #[test]
@@ -39,48 +30,18 @@ proptest! {
         threads in 1usize..6,
         tasks in 1usize..100,
     ) {
-        // Every task flips its flag; if scope returned before a task
+        // Every task flips its flag; if `run` returned before a task
         // finished, the flag read below would race — the SeqCst flag plus
         // the join guarantee make this deterministic.
         let pool = Pool::new(threads);
         let done: Vec<AtomicBool> = (0..tasks).map(|_| AtomicBool::new(false)).collect();
-        pool.scope(|s| {
-            for flag in &done {
-                s.spawn(move |_| {
-                    // A little work so tasks are still in flight when the
-                    // registrar returns.
-                    std::hint::black_box((0..50).sum::<u64>());
-                    flag.store(true, Ordering::SeqCst);
-                });
-            }
+        pool.run(tasks, |i| {
+            // A little work so tasks are still in flight when the caller
+            // runs out of indices to claim.
+            std::hint::black_box((0..50).sum::<u64>());
+            done[i].store(true, Ordering::SeqCst);
         });
         prop_assert!(done.iter().all(|f| f.load(Ordering::SeqCst)));
-    }
-
-    #[test]
-    fn nested_spawns_also_run_exactly_once(
-        threads in 1usize..5,
-        parents in 1usize..30,
-        children in 0usize..4,
-    ) {
-        let pool = Pool::new(threads);
-        let count = AtomicU64::new(0);
-        let (_, report) = pool.scope(|s| {
-            for _ in 0..parents {
-                let count = &count;
-                s.spawn(move |inner| {
-                    count.fetch_add(1, Ordering::SeqCst);
-                    for _ in 0..children {
-                        inner.spawn(move |_| {
-                            count.fetch_add(1, Ordering::SeqCst);
-                        });
-                    }
-                });
-            }
-        });
-        let expect = (parents * (1 + children)) as u64;
-        prop_assert_eq!(count.load(Ordering::SeqCst), expect);
-        prop_assert_eq!(report.tasks, expect);
     }
 
     #[test]
@@ -92,60 +53,18 @@ proptest! {
         prop_assume!(panicker < tasks);
         let pool = Pool::new(threads);
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool.scope(|s| {
-                for i in 0..tasks {
-                    s.spawn(move |_| {
-                        if i == panicker {
-                            panic!("deliberate task panic");
-                        }
-                    });
+            pool.run(tasks, |i| {
+                if i == panicker {
+                    panic!("deliberate task panic");
                 }
             });
         }));
         prop_assert!(caught.is_err(), "a task panic must reach the caller");
-        // The same pool value still runs later scopes to completion.
+        // The same pool value still runs later task lists to completion.
         let ok = AtomicU64::new(0);
-        pool.scope(|s| {
-            let ok = &ok;
-            s.spawn(move |_| {
-                ok.fetch_add(1, Ordering::SeqCst);
-            });
+        pool.run(1, |_| {
+            ok.fetch_add(1, Ordering::SeqCst);
         });
         prop_assert_eq!(ok.load(Ordering::SeqCst), 1);
-    }
-
-    #[test]
-    fn chunk_partition_covers_input_without_overlap(
-        len in 0usize..5_000,
-        chunk in 1usize..600,
-    ) {
-        let mut next = 0usize;
-        let mut chunks = 0usize;
-        for r in chunk_ranges(len, chunk) {
-            prop_assert_eq!(r.start, next, "gap or overlap at chunk boundary");
-            prop_assert!(r.end > r.start, "empty chunk");
-            prop_assert!(r.end - r.start <= chunk, "oversized chunk");
-            next = r.end;
-            chunks += 1;
-        }
-        prop_assert_eq!(next, len, "partition must end at len");
-        prop_assert_eq!(chunks, len.div_ceil(chunk));
-    }
-
-    #[test]
-    fn par_for_chunks_marks_every_index_once(
-        threads in 1usize..5,
-        len in 0usize..3_000,
-        chunk in 1usize..500,
-    ) {
-        let pool = Pool::new(threads);
-        let marks: Vec<AtomicU64> = (0..len).map(|_| AtomicU64::new(0)).collect();
-        let report = pool.par_for_chunks(len, chunk, |_, range| {
-            for i in range {
-                marks[i].fetch_add(1, Ordering::SeqCst);
-            }
-        });
-        prop_assert!(marks.iter().all(|m| m.load(Ordering::SeqCst) == 1));
-        prop_assert_eq!(report.tasks as usize, len.div_ceil(chunk));
     }
 }

@@ -1,10 +1,9 @@
 //! Random number generation substrate for the reservoir sampling library.
 //!
 //! The paper uses Intel MKL's Mersenne Twister for fast random number
-//! generation. MKL is proprietary, so this crate provides a from-scratch
-//! [MT19937-64](Mt19937_64) implementation (verified against the reference
-//! test vectors of Matsumoto & Nishimura) together with the much faster
-//! [xoshiro256++](Xoshiro256PlusPlus) generator that we use by default.
+//! generation. MKL is proprietary, so this crate provides the much faster
+//! [xoshiro256++](Xoshiro256PlusPlus) generator instead, seeded through
+//! SplitMix64; it is the library's [`DefaultRng`].
 //!
 //! On top of the raw generators, [`Rng64`] supplies exactly the primitives
 //! the sampling algorithms need:
@@ -23,11 +22,9 @@
 //! [`SeedSequence`], which is a SplitMix64-based key derivation so that
 //! `(seed, pe, stream)` triples never collide in practice.
 
-mod mt19937_64;
 mod seeding;
 mod xoshiro;
 
-pub use mt19937_64::Mt19937_64;
 pub use seeding::{test_base_seed, SeedSequence, StreamKind};
 pub use xoshiro::{splitmix64, Xoshiro256PlusPlus};
 
@@ -38,8 +35,8 @@ const F64_FROM_53: f64 = 1.0 / 9007199254740992.0; // 2^-53
 /// the library.
 ///
 /// All provided methods are implemented in terms of [`Rng64::next_u64`], so
-/// any generator (MT19937-64, xoshiro256++, counter-based test stubs) gets
-/// the full API.
+/// any generator (xoshiro256++, counter-based test stubs) gets the full
+/// API.
 pub trait Rng64 {
     /// Return the next raw 64-bit output of the generator.
     fn next_u64(&mut self) -> u64;

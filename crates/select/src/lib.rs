@@ -28,24 +28,23 @@
 //! approximate `amsSelect` of Section 3.3.2 (used by the variable-size
 //! reservoir of Section 4.4) passes a genuine window `k..k̄`.
 //!
-//! Three drivers share the same [`state::SelectionState`] machine:
-//! [`threaded::select_threaded`] runs the real message-passing protocol on a
-//! [`reservoir_comm::Communicator`]; [`threaded::select_threaded_many`] runs
-//! many independent selections behind one collective schedule (the sharded
-//! fleet's joint rounds); [`conductor::select_conductor`] runs all PEs'
-//! steps inside one thread (used by the cluster simulator, which charges
+//! Two drivers share the same [`state::SelectionState`] machine:
+//! [`threaded::select_threaded_many`] runs the real message-passing
+//! protocol on a [`reservoir_comm::Communicator`] for any number of
+//! independent selections behind one collective schedule (one task for a
+//! sampler's per-batch threshold, one per shard for the sharded fleet's
+//! joint rounds); [`conductor::select_conductor`] runs all PEs' steps
+//! inside one thread (used by the cluster simulator, which charges
 //! communication through a cost model instead of performing it).
 
 mod candidates;
 mod conductor;
 mod quickselect;
-mod sorted_sample;
 mod state;
 mod threaded;
 
 pub use candidates::{CandidateSet, SortedKeys};
 pub use conductor::{select_conductor, ConductorReport};
 pub use quickselect::kth_smallest;
-pub use sorted_sample::{sorted_sample_select, SortedSampleReport};
 pub use state::{SelectParams, SelectResult, TargetRank};
-pub use threaded::{select_threaded, select_threaded_many, MultiSelectResult};
+pub use threaded::{select_threaded_many, MultiSelectResult};

@@ -1,60 +1,12 @@
-//! Selection driver for the real message-passing backend.
+//! Selection driver for the real message-passing backend: one joint
+//! driver for any number of independent selections. A single selection
+//! (the per-batch threshold of `CommBackend`) is the one-task case.
 
 use reservoir_comm::{Collectives, Communicator};
 use reservoir_rng::Rng64;
 
 use crate::candidates::CandidateSet;
 use crate::state::{combine_into, SelectParams, SelectResult, SelectionState, TargetRank};
-
-/// Find the key whose global rank (over the union of all PEs' sets) lies in
-/// `target`, using the pivot protocol of paper Section 3.3.3.
-///
-/// Must be called collectively: every PE passes its local `set`, the global
-/// key count `total` (all PEs must agree on it — it is the sum of the local
-/// set sizes, which the samplers already all-reduce), and identical
-/// `target`/`params`. All PEs return the same result.
-///
-/// Each round costs two small all-reduces: O(d) words each, O(α log p)
-/// latency.
-pub fn select_threaded<C, S>(
-    comm: &C,
-    set: &S,
-    target: TargetRank,
-    total: u64,
-    params: SelectParams,
-    rng: &mut impl Rng64,
-) -> SelectResult
-where
-    C: Communicator,
-    S: CandidateSet + ?Sized,
-{
-    let mut st = SelectionState::new(target, total, params);
-    // The vectors handed to the collectives come back combined and serve
-    // as the next round's buffers.
-    let (mut wire, mut counts) = (Vec::new(), Vec::new());
-    loop {
-        assert!(
-            !st.over_budget(),
-            "distributed selection exceeded its round budget"
-        );
-        wire.clear();
-        st.propose(set, rng, &mut wire);
-        let take_min = st.combine_is_min();
-        wire = comm.allreduce(wire, |mut a, b| {
-            combine_into(&mut a, &b, take_min);
-            a
-        });
-        if !st.absorb(&wire) {
-            continue; // no PE sampled a pivot this round; retry
-        }
-        counts.clear();
-        st.count(set, &mut counts);
-        counts = comm.sum_u64_vec(counts);
-        if let Some(res) = st.decide(&counts) {
-            return res;
-        }
-    }
-}
 
 /// Outcome of a batched multi-selection: one [`SelectResult`] per task plus
 /// the number of *joint* pivot rounds the whole batch consumed.
@@ -65,8 +17,7 @@ where
 #[derive(Clone, Debug, PartialEq)]
 pub struct MultiSelectResult {
     /// Per-task results, in task order. Each is byte-identical to what a
-    /// standalone [`select_threaded`] call with the same set/target/RNG
-    /// would have produced.
+    /// one-task call with the same set/target/RNG would have produced.
     pub results: Vec<SelectResult>,
     /// Collective rounds spent by the batch as a whole (max over tasks).
     pub joint_rounds: u32,
@@ -74,22 +25,27 @@ pub struct MultiSelectResult {
 
 /// Run many independent selections behind one collective schedule.
 ///
-/// Task `i` selects `targets[i]` from the global union of `sets[i]`
-/// (global size `totals[i]`, which all PEs must agree on), consuming
-/// `rngs[i]`. Instead of paying two all-reduces per task per round, each
-/// *joint* round concatenates every undecided task's pivot candidates into
-/// a single vector for **one** all-reduce, and every absorbing task's pivot
-/// counts into a single vector for **one** `sum_u64_vec` — so the α·log p
-/// collective latency is amortized across all tasks.
+/// Task `i` finds the key whose global rank (over the union of every
+/// PE's `sets[i]`) lies in `targets[i]`, using the pivot protocol of
+/// paper Section 3.3.3. `totals[i]` is that union's size, which all PEs
+/// must agree on (the samplers already all-reduce it), and the task
+/// consumes `rngs[i]`. One task's round costs two small all-reduces:
+/// O(d) words each, O(α log p) latency. Instead of paying two all-reduces
+/// per task per round, each *joint* round concatenates every undecided
+/// task's pivot candidates into a single vector for **one** all-reduce,
+/// and every absorbing task's pivot counts into a single vector for
+/// **one** `sum_u64_vec` — so the α·log p collective latency is amortized
+/// across all tasks.
 ///
 /// Every per-task state trajectory (pivots proposed, candidates absorbed,
-/// counts, decisions, RNG consumption) is exactly the trajectory
-/// [`select_threaded`] would produce for that task alone: candidate
+/// counts, decisions, RNG consumption) is exactly the trajectory a
+/// one-task call would produce for that task alone: candidate
 /// combination is elementwise, and each segment of the concatenated vector
 /// combines under its own task's min/max direction. Tasks drop out of the
 /// schedule as they decide; the batch runs until the slowest task finishes.
 ///
-/// Must be called collectively with identical task lists on every PE.
+/// Must be called collectively with identical task lists on every PE;
+/// every PE returns the same result.
 pub fn select_threaded_many<C, S, R>(
     comm: &C,
     sets: &[&S],
@@ -144,8 +100,8 @@ where
             a
         });
         // Step 3: absorb per task; a task whose candidate segment came back
-        // empty wastes this round (exactly as standalone `continue` does),
-        // keeps no pivots and contributes no counts.
+        // empty (no PE sampled a pivot) wastes this round, keeps no pivots
+        // and contributes no counts.
         let mut any_absorbed = false;
         for (st, seg) in states.iter_mut().flatten().zip(wire.chunks_exact(d)) {
             any_absorbed |= st.absorb(seg);
@@ -194,6 +150,22 @@ mod tests {
     use reservoir_comm::run_threads;
     use reservoir_rng::{default_rng, SeedSequence, StreamKind};
 
+    /// One selection: the one-task case of [`select_threaded_many`], as
+    /// the threaded backend runs it for each batch's threshold.
+    fn select_one<C: Communicator>(
+        comm: &C,
+        set: &SortedKeys,
+        target: TargetRank,
+        total: u64,
+        params: SelectParams,
+        rng: &mut impl Rng64,
+    ) -> SelectResult {
+        let rngs = std::slice::from_mut(rng);
+        let many = select_threaded_many(comm, &[set], &[target], &[total], params, rngs);
+        assert_eq!(many.joint_rounds, many.results[0].rounds);
+        many.results[0]
+    }
+
     /// Deal `n` keys round-robin over `p` PEs and select various ranks.
     fn harness(p: usize, n: u64, d: usize) {
         let all: Vec<SampleKey> = (0..n)
@@ -213,7 +185,7 @@ mod tests {
                 let set = SortedKeys::new(local);
                 let seq = SeedSequence::new(12345);
                 let mut rng = seq.rng_for(rank, StreamKind::Selection);
-                select_threaded(
+                select_one(
                     &comm,
                     &set,
                     TargetRank::exact(k),
@@ -256,7 +228,7 @@ mod tests {
                 .collect();
             let set = SortedKeys::new(local);
             let mut rng = default_rng(99 + rank as u64);
-            select_threaded(
+            select_one(
                 &comm,
                 &set,
                 TargetRank::exact(n / 2 + 10),
@@ -281,7 +253,7 @@ mod tests {
                 .collect();
             let set = SortedKeys::new(local);
             let mut rng = default_rng(7 + rank as u64);
-            select_threaded(
+            select_one(
                 &comm,
                 &set,
                 TargetRank::range(4_500, 5_500),
@@ -301,7 +273,7 @@ mod tests {
     type Trial = (MultiSelectResult, Vec<SelectResult>, Vec<u64>, Vec<u64>);
 
     /// Run `targets` through one batched call and, on the same
-    /// communicator, through one standalone [`select_threaded`] per task
+    /// communicator, through one standalone [`select_one`] per task
     /// from an identical RNG stream. `keys(rank, t)` is PE `rank`'s share of
     /// task `t`.
     fn batched_vs_standalone(
@@ -328,8 +300,7 @@ mod tests {
             let (solo, solo_next) = (0..tasks)
                 .map(|t| {
                     let mut rng = stream(t);
-                    let res =
-                        select_threaded(&comm, &sets[t], targets[t], totals[t], params, &mut rng);
+                    let res = select_one(&comm, &sets[t], targets[t], totals[t], params, &mut rng);
                     (res, rng.next_u64())
                 })
                 .unzip();
@@ -419,7 +390,7 @@ mod tests {
             };
             let set = SortedKeys::new(local);
             let mut rng = default_rng(5 + rank as u64);
-            select_threaded(
+            select_one(
                 &comm,
                 &set,
                 TargetRank::exact(42),

@@ -4,9 +4,7 @@
 use proptest::prelude::*;
 use reservoir_btree::SampleKey;
 use reservoir_rng::{default_rng, DefaultRng};
-use reservoir_select::{
-    kth_smallest, select_conductor, sorted_sample_select, SelectParams, SortedKeys, TargetRank,
-};
+use reservoir_select::{kth_smallest, select_conductor, SelectParams, SortedKeys, TargetRank};
 
 /// Arbitrary finite keys with unique ids; ties in the float part are
 /// allowed and must be broken by id.
@@ -90,25 +88,6 @@ proptest! {
             report.result.threshold,
             oracle[(report.result.rank - 1) as usize]
         );
-    }
-
-    #[test]
-    fn sorted_sample_matches_oracle(
-        keys in keys_strategy(),
-        p in 1usize..5,
-        k_frac in 0.0f64..1.0,
-        seed in 0u64..10_000,
-    ) {
-        let mut oracle = keys.clone();
-        oracle.sort_unstable();
-        oracle.dedup();
-        let n = oracle.len() as u64;
-        let k = ((k_frac * n as f64) as u64).clamp(1, n);
-        let sets = partition(&oracle, p);
-        let refs: Vec<&SortedKeys> = sets.iter().collect();
-        let mut rngs: Vec<DefaultRng> = (0..p).map(|i| default_rng(seed + i as u64)).collect();
-        let report = sorted_sample_select(&refs, k, &mut rngs);
-        prop_assert_eq!(report.result.threshold, oracle[(k - 1) as usize]);
     }
 
     #[test]

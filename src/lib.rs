@@ -17,8 +17,8 @@
 //! | [`btree`] | `reservoir-btree` | augmented B+ tree: rank/select/split/join local reservoirs, allocation-free leaf walk; the snapshot seqlock and its stress hooks |
 //! | [`comm`] | `reservoir-comm` | Communicator trait, threaded runtime, collectives, α–β cost model |
 //! | [`stream`] | `reservoir-stream` | mini-batch model, workload generators, push-based ingestion runtime (`stream::ingest`: record sources, batchers, backpressure) |
-//! | [`par`] | `reservoir-par` | scoped work-stealing thread pool: the per-PE worker crew the chunked local scan runs on |
-//! | [`rng`] | `reservoir-rng` | MT19937-64, xoshiro256++, exponential/geometric deviates |
+//! | [`par`] | `reservoir-par` | a thread pool that runs one flat task list: the per-PE worker crew the chunked local scan runs on |
+//! | [`rng`] | `reservoir-rng` | xoshiro256++, exponential/geometric deviates, per-PE seed derivation |
 //!
 //! ## Quick start (sequential)
 //!
@@ -215,10 +215,10 @@
 //! Set `RESERVOIR_OBS=1` (or call [`obs::set_enabled`]) and every layer
 //! reports into one [`obs::Registry`] — collective launches and payload
 //! words (`comm_*`, and `sim_*` for the α–β model's predictions), scan
-//! chunks/steals, snapshot seqlock contention, ingestion backpressure,
-//! epoch publications — plus a bounded per-PE flight recorder of
-//! structured events ([`obs::TraceKind`]) for post-mortems. Disabled (the
-//! default) is observationally free: a fixed seed draws the
+//! chunks and insertions, snapshot seqlock contention, ingestion
+//! backpressure, epoch publications — plus a bounded per-PE flight
+//! recorder of structured events ([`obs::TraceKind`]) for post-mortems.
+//! Disabled (the default) is observationally free: a fixed seed draws the
 //! byte-identical sample either way, and no collective is added. A
 //! dashboard thread polls an [`obs::MetricsReader`] mid-ingestion —
 //! seqlock-style version discipline, no pauses — and renders Prometheus
@@ -267,12 +267,12 @@ pub mod comm {
     pub use reservoir_comm::*;
 }
 
-/// Random number generation: MT19937-64, xoshiro256++, deviates.
+/// Random number generation: xoshiro256++, deviates, seed derivation.
 pub mod rng {
     pub use reservoir_rng::*;
 }
 
-/// Intra-PE parallelism: work-stealing pool + parallel local scan.
+/// Intra-PE parallelism: the worker crew the chunked local scan runs on.
 pub mod par {
     pub use reservoir_par::*;
 }

@@ -8,9 +8,11 @@
 //! `stats`-gated (run via `cargo test --release --features stats --
 //! stats_`): a throughput ratio needs a release build and a quiet-ish
 //! machine, like the chi-square suites. Each timed run streams 128M
-//! records (about half a second on a 2-vCPU VM), the disarmed and armed
-//! runs alternate so a slow spell of the machine hits both sides, and
-//! best-of-N on both sides damps scheduler noise.
+//! records (about half a second on a 2-vCPU VM), and the disarmed and
+//! armed runs alternate in pairs so a slow spell of the machine hits both
+//! sides of a pair. The guard is the median of the per-pair armed/disarmed
+//! ratios: a rare fast run on either side moves one pair's ratio, not the
+//! median, where a best-of-N on each side was decided by such runs.
 
 #![cfg(feature = "stats")]
 
@@ -52,19 +54,24 @@ fn throughput(seed: u64) -> f64 {
 fn stats_armed_observability_keeps_90_percent_throughput() {
     // Warm-up run so allocator and thread-spawn costs hit neither side.
     let _ = throughput(899);
-    let (mut off, mut on) = (0.0f64, 0.0f64);
-    for rep in 0..5 {
-        reservoir::obs::set_enabled(false);
-        off = off.max(throughput(900 + rep));
-        reservoir::obs::set_enabled(true);
-        on = on.max(throughput(900 + rep));
-    }
+    // Nine pairs: on a 2-vCPU VM one pair's ratio strays below 0.9 about
+    // one time in six, so five pairs still lost the median a few times
+    // in a hundred.
+    let mut ratios: Vec<f64> = (0..9)
+        .map(|rep| {
+            reservoir::obs::set_enabled(false);
+            let off = throughput(900 + rep);
+            reservoir::obs::set_enabled(true);
+            throughput(900 + rep) / off
+        })
+        .collect();
     reservoir::obs::set_enabled(false);
-    let ratio = on / off;
+    ratios.sort_by(f64::total_cmp);
+    let ratio = ratios[ratios.len() / 2];
     assert!(
         ratio >= 0.9,
-        "armed observability lost too much throughput: \
-         {on:.3e} vs {off:.3e} items/s (ratio {ratio:.3}, floor 0.9)"
+        "armed observability lost too much throughput: median armed/disarmed \
+         ratio {ratio:.3} over the pairs {ratios:.3?} (floor 0.9)"
     );
-    eprintln!("obs overhead guard: armed/disarmed throughput ratio {ratio:.3}");
+    eprintln!("obs overhead guard: median armed/disarmed ratio {ratio:.3} of {ratios:.3?}");
 }
