@@ -3,7 +3,7 @@
 //!
 //! One binary per experiment (see `src/bin/`); shared machinery here:
 //!
-//! * [`calibrate`] — measures this machine's local-work costs (jump-scan
+//! * [`calibrate`](mod@calibrate) — measures this machine's local-work costs (jump-scan
 //!   throughput with its cache knee, B+ tree insertion, quickselect) and
 //!   builds a [`MeasuredLocalCosts`] for the cluster simulator, replacing
 //!   the paper's ForHLR II compute nodes.

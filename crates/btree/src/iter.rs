@@ -11,7 +11,6 @@
 //! stack per walk costs more than copying the entries out.
 
 use crate::node::Node;
-use crate::tree::BPlusTree;
 
 /// Cursor slots of a [`Leaves`] walk, one per tree level. At
 /// [`MIN_DEGREE`](crate::MIN_DEGREE) every non-root inner node has at
@@ -88,11 +87,6 @@ impl<'a, K: Ord + Clone, V> Iterator for Iter<'a, K, V> {
             self.leaf = self.leaves.next()?.iter();
         }
     }
-}
-
-/// Convenience: collect all keys of a tree (test helper used across crates).
-pub fn keys_of<K: Ord + Clone, V>(tree: &BPlusTree<K, V>) -> Vec<K> {
-    tree.iter().map(|(k, _)| k.clone()).collect()
 }
 
 #[cfg(test)]

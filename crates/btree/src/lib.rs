@@ -49,7 +49,7 @@ pub mod seqlock;
 mod stress;
 mod tree;
 
-pub use iter::{keys_of, Iter, Leaves};
+pub use iter::{Iter, Leaves};
 pub use key::SampleKey;
 pub use seqlock::{SeqLock, WriteGuard};
 pub use tree::BPlusTree;

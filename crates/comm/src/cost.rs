@@ -63,14 +63,6 @@ impl CostModel {
         }
     }
 
-    /// Ethernet-like parameters (for ablation: slower network, same CPU).
-    pub fn ethernet_10g() -> Self {
-        CostModel {
-            alpha: 20.0e-6,
-            beta: 8.0 / 1.2e9,
-        }
-    }
-
     /// Rounds of a binomial tree over `p` PEs.
     #[inline]
     pub fn tree_rounds(p: usize) -> u32 {

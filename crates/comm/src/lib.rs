@@ -88,7 +88,7 @@ impl<A: Message, B: Message, C: Message> Message for (A, B, C) {
 ///
 /// Collectives must be invoked by **all** PEs of the communicator in the
 /// same order (the usual MPI contract); they are provided as default
-/// methods in terms of `send_raw`/`recv_raw` — see [`collectives`] for the
+/// methods in terms of `send_raw`/`recv_raw` — see [`Collectives`] for the
 /// algorithms.
 pub trait Communicator {
     /// This PE's rank in `0..size()`.

@@ -37,6 +37,19 @@
 //! [`ReservoirProtocol::finalize`] instead of needing a fourth protocol
 //! copy.
 //!
+//! Each collective sequence is composed of crate-internal local phases:
+//! the scan, the step's and the finalization's selection targets,
+//! adopting a selection and pruning, the finalized view, extraction,
+//! publication, closing the step and building the handle.
+//! [`ReservoirProtocol::step`], [`ReservoirProtocol::finalize`] and
+//! [`ReservoirProtocol::collect_output`] interleave them with the
+//! backend's collectives; the sharded fleet
+//! ([`ShardedSampler`](crate::dist::sharded::ShardedSampler)) interleaves
+//! the same phases of many `ReservoirProtocol<CommBackend>` engines with
+//! its batched collectives instead. Either way each protocol rule — when
+//! to select and for which rank, the post-step union, the finalized keep
+//! count and total — is written once, here.
+//!
 //! Cost/time attribution is the backend's job, not the engine's: each
 //! step hands the backend a [`PhaseTimes`] and a [`Charge`] naming the
 //! slot to bill, so the threaded backends bill measured wall-clock and
@@ -116,6 +129,9 @@ pub struct Finalized {
     pub threshold: Option<SampleKey>,
     /// Members of this endpoint's slice (keys at or below `threshold`).
     pub keep: u64,
+    /// Global size of the finalized sample: `k` when the union exceeded
+    /// `k`, otherwise the whole union.
+    pub total: u64,
     /// Selection rounds the finalization used (0 when the sample already
     /// fit in `k`).
     pub rounds: u32,
@@ -314,74 +330,96 @@ impl<B: SamplerBackend> ReservoirProtocol<B> {
         self.phases
     }
 
-    /// Whether the union size `union` triggers a selection: the sample
-    /// outgrew its limit (`k`, or `k̄` in window mode), or the reservoir
-    /// just filled for the first time and the insertion threshold comes
-    /// into existence (exact-size mode only — window mode waits for the
-    /// overflow).
-    pub(crate) fn select_now(&self, union: u64) -> bool {
-        union > self.cfg.size_limit()
-            || (self.threshold.is_none()
-                && self.cfg.size_window.is_none()
-                && union >= self.cfg.k as u64)
+    /// **insert_scan** (local): scan this endpoint's share of one
+    /// mini-batch below the current threshold. The returned report
+    /// accumulates the rest of the step.
+    pub(crate) fn scan(&mut self, items: &[Item]) -> BatchReport {
+        let mut times = PhaseTimes::default();
+        let scan = self
+            .backend
+            .insert(self.cfg.mode, items, self.threshold, &mut times)
+            .stats;
+        BatchReport {
+            inserted: scan.inserted,
+            scan,
+            times,
+            ..BatchReport::default()
+        }
     }
 
-    /// The rank the batch-step selection targets: exact `k`, or the whole
-    /// window in variable-size mode (Section 4.4's far cheaper
-    /// approximate selection).
-    pub(crate) fn select_target(&self) -> TargetRank {
-        match self.cfg.size_window {
+    /// The batch-step selection a union of `union` keys calls for, if
+    /// any. It is due once the sample outgrew its limit (`k`, or `k̄` in
+    /// window mode), or when the reservoir just filled for the first
+    /// time and the insertion threshold comes into existence (exact-size
+    /// mode only — window mode waits for the overflow). It targets exact
+    /// rank `k`, or the whole window in variable-size mode (Section 4.4's
+    /// far cheaper approximate selection).
+    pub(crate) fn step_target(&self, union: u64) -> Option<TargetRank> {
+        let k = self.cfg.k as u64;
+        let due = union > self.cfg.size_limit()
+            || (self.threshold.is_none() && self.cfg.size_window.is_none() && union >= k);
+        due.then(|| match self.cfg.size_window {
             Some((lo, hi)) => TargetRank::range(lo, hi),
-            None => TargetRank::exact(self.cfg.k as u64),
+            None => TargetRank::exact(k),
+        })
+    }
+
+    /// **prune** (local): adopt the step's selection over a union of
+    /// `union` keys, if one ran, as the new threshold and prune to it.
+    /// Records the post-step union and the rounds in `report`.
+    pub(crate) fn adopt(
+        &mut self,
+        union: u64,
+        sel: Option<SelectResult>,
+        report: &mut BatchReport,
+    ) {
+        report.sample_size = union;
+        if let Some(res) = sel {
+            self.threshold = Some(res.threshold);
+            self.backend
+                .prune(&res.threshold, &mut report.times, Charge::Threshold);
+            report.sample_size = res.rank;
+            report.select_rounds = res.rounds;
         }
+    }
+
+    /// Fold one finished step (of `offered` records) into the phase
+    /// totals and the registry.
+    pub(crate) fn close_step(&mut self, offered: u64, report: &BatchReport) {
+        self.phases.accumulate(&report.times);
+        obs_metrics::record_step(
+            self.backend.rank(),
+            self.steps,
+            offered,
+            report.sample_size,
+            report.select_rounds,
+            &report.scan,
+            &report.times,
+        );
+        self.steps += 1;
     }
 
     /// One collective mini-batch step: **insert_scan → count →
     /// select_prune** (Algorithm 1). Every endpoint must call this the
     /// same number of times; empty batches are fine.
     pub fn step(&mut self, items: &[Item]) -> BatchReport {
-        let mut times = PhaseTimes::default();
-        let outcome = self
-            .backend
-            .insert(self.cfg.mode, items, self.threshold, &mut times);
-        let union = self.backend.count(&mut times, Charge::Threshold);
-        let mut sample_size = union;
-        let mut rounds = 0u32;
-        if self.select_now(union) {
-            let res = self.backend.select(
-                self.select_target(),
+        let mut report = self.scan(items);
+        let union = self.backend.count(&mut report.times, Charge::Threshold);
+        let sel = self.step_target(union).map(|target| {
+            self.backend.select(
+                target,
                 union,
                 self.cfg.pivots,
-                &mut times,
+                &mut report.times,
                 Charge::Select,
-            );
-            self.threshold = Some(res.threshold);
-            self.backend
-                .prune(&res.threshold, &mut times, Charge::Threshold);
-            sample_size = res.rank;
-            rounds = res.rounds;
-        }
+            )
+        });
+        self.adopt(union, sel, &mut report);
         if self.cfg.continuous == ContinuousMode::EveryBatch {
-            self.publish_epoch(&mut times);
+            self.publish_epoch(&mut report.times);
         }
-        self.phases.accumulate(&times);
-        obs_metrics::record_step(
-            self.backend.rank(),
-            self.steps,
-            items.len() as u64,
-            sample_size,
-            rounds,
-            &outcome.stats,
-            &times,
-        );
-        self.steps += 1;
-        BatchReport {
-            sample_size,
-            select_rounds: rounds,
-            inserted: outcome.stats.inserted,
-            scan: outcome.stats,
-            times,
-        }
+        self.close_step(items.len() as u64, &report);
+        report
     }
 
     /// Continuous-mode publication (collective): run the Section 5
@@ -396,13 +434,22 @@ impl<B: SamplerBackend> ReservoirProtocol<B> {
     fn publish_epoch(&mut self, times: &mut PhaseTimes) {
         let rng = self.backend.select_rng_state();
         let fin = self.finalize(times);
-        let mut items = Vec::with_capacity(fin.keep as usize);
-        self.backend
-            .local_items_le(fin.threshold.as_ref(), &mut items, times);
+        let items = self.extract(&fin, times);
         let placement = self.backend.place(fin.keep, times);
         self.backend.restore_select_rng(rng);
+        self.publish(items, placement, &fin);
+    }
+
+    /// Swap `items`, placed at `placement`, into this endpoint's snapshot
+    /// slot as the next epoch (local).
+    pub(crate) fn publish(
+        &mut self,
+        items: Vec<SampleItem>,
+        placement: Placement,
+        fin: &Finalized,
+    ) {
         let epoch_no = self.publisher.next_epoch();
-        let epoch = SampleEpoch::new(
+        self.publisher.publish(SampleEpoch::new(
             epoch_no,
             items,
             placement.offset,
@@ -411,9 +458,34 @@ impl<B: SamplerBackend> ReservoirProtocol<B> {
             self.backend.size(),
             fin.threshold.map(|t| t.key),
             fin.rounds,
-        );
-        self.publisher.publish(epoch);
+        ));
         obs_metrics::record_epoch(self.backend.rank(), epoch_no, placement.total);
+    }
+
+    /// The finalization selection a union of `union` keys calls for: one
+    /// to exact rank `k` when the union currently exceeds `k`.
+    pub(crate) fn finalize_target(&self, union: u64) -> Option<TargetRank> {
+        let k = self.cfg.k as u64;
+        (union > k).then(|| TargetRank::exact(k))
+    }
+
+    /// The finalized view of a union of `union` keys (local), given the
+    /// finalization selection [`Self::finalize_target`] called for.
+    pub(crate) fn finalized(&self, union: u64, sel: Option<SelectResult>) -> Finalized {
+        match sel {
+            Some(res) => Finalized {
+                threshold: Some(res.threshold),
+                keep: self.backend.local_count_le(&res.threshold),
+                total: res.rank,
+                rounds: res.rounds,
+            },
+            None => Finalized {
+                threshold: self.threshold,
+                keep: self.backend.local_len(),
+                total: union,
+                rounds: 0,
+            },
+        }
     }
 
     /// Section 5 step 1, **finalize** (collective): if the union currently
@@ -423,34 +495,19 @@ impl<B: SamplerBackend> ReservoirProtocol<B> {
     /// state and the output is a consistent snapshot.
     pub fn finalize(&mut self, times: &mut PhaseTimes) -> Finalized {
         let union = self.backend.count(times, Charge::Output);
-        let k = self.cfg.k as u64;
-        if union > k {
-            let res = self.backend.select(
-                TargetRank::exact(k),
-                union,
-                self.cfg.pivots,
-                times,
-                Charge::Output,
-            );
-            Finalized {
-                threshold: Some(res.threshold),
-                keep: self.backend.local_count_le(&res.threshold),
-                rounds: res.rounds,
-            }
-        } else {
-            Finalized {
-                threshold: self.threshold,
-                keep: self.backend.local_len(),
-                rounds: 0,
-            }
-        }
+        let sel = self.finalize_target(union).map(|target| {
+            self.backend
+                .select(target, union, self.cfg.pivots, times, Charge::Output)
+        });
+        self.finalized(union, sel)
     }
 
-    /// Section 5 step 2, **place** (collective): the exclusive prefix
-    /// count assigning this endpoint's `local`-member slice its global
-    /// output positions.
-    pub fn place(&mut self, local: u64, times: &mut PhaseTimes) -> Placement {
-        self.backend.place(local, times)
+    /// **extract** (local): this endpoint's finalized slice, key-sorted.
+    pub(crate) fn extract(&self, fin: &Finalized, times: &mut PhaseTimes) -> Vec<SampleItem> {
+        let mut items = Vec::with_capacity(fin.keep as usize);
+        self.backend
+            .local_items_le(fin.threshold.as_ref(), &mut items, times);
+        items
     }
 
     /// The full Section 5 output collection — **finalize → extract →
@@ -462,11 +519,21 @@ impl<B: SamplerBackend> ReservoirProtocol<B> {
     pub fn collect_output(&mut self) -> (SampleHandle, PhaseTimes, u32) {
         let mut times = PhaseTimes::default();
         let fin = self.finalize(&mut times);
-        let mut items = Vec::with_capacity(fin.keep as usize);
-        self.backend
-            .local_items_le(fin.threshold.as_ref(), &mut items, &mut times);
+        let items = self.extract(&fin, &mut times);
+        let placement = self.backend.place(fin.keep, &mut times);
+        self.output(items, placement, &fin, times)
+    }
+
+    /// Build this endpoint's handle over its extracted, placed slice and
+    /// account for the collection (local).
+    pub(crate) fn output(
+        &mut self,
+        items: Vec<SampleItem>,
+        placement: Placement,
+        fin: &Finalized,
+        times: PhaseTimes,
+    ) -> (SampleHandle, PhaseTimes, u32) {
         debug_assert_eq!(items.len() as u64, fin.keep);
-        let placement = self.place(fin.keep, &mut times);
         let handle = SampleHandle::from_parts(
             items,
             placement,
@@ -477,20 +544,9 @@ impl<B: SamplerBackend> ReservoirProtocol<B> {
         if self.cfg.continuous == ContinuousMode::EveryBatch {
             // The collection itself is the freshest possible view; expose
             // it to snapshot readers too, reusing the collectives already
-            // run above (a local copy of the slice, checksummed, then the
+            // run (a local copy of the slice, checksummed, then the
             // pointer swap).
-            let epoch_no = self.publisher.next_epoch();
-            self.publisher.publish(SampleEpoch::new(
-                epoch_no,
-                handle.local_items().to_vec(),
-                placement.offset,
-                placement.total,
-                self.backend.rank(),
-                self.backend.size(),
-                handle.threshold(),
-                fin.rounds,
-            ));
-            obs_metrics::record_epoch(self.backend.rank(), epoch_no, placement.total);
+            self.publish(handle.local_items().to_vec(), placement, fin);
         }
         self.phases.accumulate(&times);
         obs_metrics::record_phases(&times);
@@ -501,64 +557,93 @@ impl<B: SamplerBackend> ReservoirProtocol<B> {
     /// ingestion channel (`reservoir_stream::ingest`), [`Self::step`]
     /// each, and finish with one [`Self::collect_output`].
     ///
-    /// The drain is collective via one 1-word vote per round: an endpoint
-    /// whose channel is closed and drained contributes empty batches as
-    /// long as any other endpoint still has input, and the loop ends only
-    /// when every channel is exhausted — so `step`'s
+    /// The drain is collective via one 1-word vote per round (the same
+    /// drain loop the sharded fleet runs), so `step`'s
     /// same-number-of-calls-everywhere contract holds across unequal
     /// stream lengths. Time blocked on the channel plus the vote accrues
     /// in [`PhaseTimes::ingest`]; the report's `times` carries this
     /// drain's full phase decomposition on every backend policy.
     pub fn run_pipeline(&mut self, batches: &Receiver<MiniBatch>) -> PipelineReport {
         let before = self.phases;
-        let mut inserted = 0u64;
-        let mut select_rounds = 0u64;
-        let (mut drained, mut rounds, mut records) = (0u64, 0u64, 0u64);
-        let mut ingest_wait_s = 0.0f64;
-        let mut open = true;
-        loop {
-            let t0 = Instant::now();
-            // `recv` blocks until the producer cuts the next batch or
-            // closes; after a close the channel stays empty forever, so
-            // skip straight to empty contributions.
-            let next = if open {
-                match batches.recv() {
-                    Ok(batch) => Some(batch),
-                    Err(_) => {
-                        open = false;
-                        None
-                    }
-                }
-            } else {
-                None
-            };
-            let active = self.backend.vote(next.is_some() as u64);
-            ingest_wait_s += t0.elapsed().as_secs_f64();
-            if active == 0 {
-                break;
-            }
-            let items = next.map(|b| {
-                drained += 1;
-                records += b.items.len() as u64;
-                b.items
-            });
-            let report = self.step(items.as_deref().unwrap_or(&[]));
-            inserted += report.inserted;
-            select_rounds += report.select_rounds as u64;
-            rounds += 1;
-        }
-        self.phases.ingest += ingest_wait_s;
+        let (mut inserted, mut select_rounds) = (0u64, 0u64);
+        let tally = drain(
+            batches,
+            self,
+            |engine, active| engine.backend.vote(active),
+            |engine, items| {
+                let report = engine.step(items);
+                inserted += report.inserted;
+                select_rounds += report.select_rounds as u64;
+            },
+        );
+        self.phases.ingest += tally.wait_s;
         let (handle, _, _) = self.collect_output();
         PipelineReport {
-            batches: drained,
-            rounds,
-            records,
+            batches: tally.batches,
+            rounds: tally.rounds,
+            records: tally.records,
             inserted,
             select_rounds,
-            ingest_wait_s,
             times: self.phases.delta_since(&before),
             handle,
         }
+    }
+}
+
+/// What one collective drain did on this endpoint.
+#[derive(Default)]
+pub(crate) struct DrainTally {
+    /// Mini-batches drained from this endpoint's channel.
+    pub batches: u64,
+    /// Collective rounds (identical on every endpoint).
+    pub rounds: u64,
+    /// Records in the drained batches.
+    pub records: u64,
+    /// Seconds blocked on the channel plus in the votes.
+    pub wait_s: f64,
+}
+
+/// The collective drain loop every pipeline driver shares: receive this
+/// endpoint's next mini-batch (or learn its channel closed), agree by one
+/// 1-word `vote` whether any endpoint still has input, and `step` the
+/// batch — an empty one on an endpoint whose channel is closed and
+/// drained. The loop ends only when every channel is exhausted, so each
+/// endpoint steps the same number of times across unequal stream lengths.
+pub(crate) fn drain<S>(
+    batches: &Receiver<MiniBatch>,
+    state: &mut S,
+    vote: impl Fn(&mut S, u64) -> u64,
+    mut step: impl FnMut(&mut S, &[Item]),
+) -> DrainTally {
+    let mut tally = DrainTally::default();
+    let mut open = true;
+    loop {
+        let t0 = Instant::now();
+        // `recv` blocks until the producer cuts the next batch or closes;
+        // after a close the channel stays empty forever, so skip straight
+        // to empty contributions.
+        let next = if open {
+            match batches.recv() {
+                Ok(batch) => Some(batch),
+                Err(_) => {
+                    open = false;
+                    None
+                }
+            }
+        } else {
+            None
+        };
+        let active = vote(state, next.is_some() as u64);
+        tally.wait_s += t0.elapsed().as_secs_f64();
+        if active == 0 {
+            return tally;
+        }
+        if let Some(batch) = &next {
+            tally.batches += 1;
+            tally.records += batch.items.len() as u64;
+        }
+        step(state, next.as_ref().map_or(&[], |b| &b.items));
+        tally.rounds += 1;
     }
 }
 

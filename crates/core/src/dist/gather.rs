@@ -29,7 +29,7 @@ use reservoir_stream::Item;
 use crate::dist::engine::{Charge, InsertOutcome, Placement, ReservoirProtocol, SamplerBackend};
 use crate::dist::local::LocalReservoir;
 use crate::dist::output::SampleHandle;
-use crate::dist::{BatchReport, DistConfig, PipelineReport, SamplingMode};
+use crate::dist::{DistConfig, PipelineReport, SamplingMode};
 use crate::metrics::PhaseTimes;
 use crate::sample::SampleItem;
 
@@ -259,12 +259,6 @@ impl<'a, C: Communicator> GatherSampler<'a, C> {
     /// candidates this PE generated (and shipped to the root).
     pub fn process_batch(&mut self, items: &[Item]) -> u64 {
         self.engine.step(items).inserted
-    }
-
-    /// Like [`Self::process_batch`], with the engine's full per-batch
-    /// report (sample size, scan counters, measured phase times).
-    pub fn process_batch_report(&mut self, items: &[Item]) -> BatchReport {
-        self.engine.step(items)
     }
 
     /// Drive the baseline from a push-based ingestion channel

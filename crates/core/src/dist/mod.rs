@@ -349,11 +349,9 @@ pub struct PipelineReport {
     /// Distributed selection rounds summed over all batches (always 0 on
     /// the gather baseline, which selects sequentially at the root).
     pub select_rounds: u64,
-    /// Seconds this PE spent blocked on the ingestion channel plus in the
-    /// drain's own continue/stop agreement (equals `times.ingest`).
-    pub ingest_wait_s: f64,
-    /// Phase times of this drain on this PE, including the ingest wait —
-    /// the engine's unified pipeline driver fills every phase on both
+    /// Phase times of this drain on this PE, including the ingest wait
+    /// (`times.ingest`: seconds blocked on the ingestion channel plus in
+    /// the drain's own continue/stop agreement) — the engine's unified pipeline driver fills every phase on both
     /// backend policies (the same accounting as
     /// [`threaded::DistributedSampler::phase_totals`], restricted to this
     /// drain).

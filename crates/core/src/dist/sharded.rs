@@ -9,11 +9,11 @@
 //! [`ShardedSampler`] collapses that to a **batched schedule**:
 //!
 //! 1. **route + scan** — each record goes to its shard's
-//!    [`LocalReservoir`] (each shard is a full per-PE reservoir; all of
-//!    a PE's shards scan on its one worker crew) below that shard's own
-//!    threshold. Local, no communication. A shard whose bucket is empty
-//!    on every PE skips its scan and step altogether (the sparse-batch
-//!    fast path, below).
+//!    [`LocalReservoir`](crate::dist::local::LocalReservoir) (each shard
+//!    is a full per-PE reservoir; all of a PE's shards scan on its one
+//!    worker crew) below that shard's own threshold. Local, no
+//!    communication. A shard whose bucket is empty on every PE skips its
+//!    step altogether (the sparse-batch fast path, below).
 //! 2. **batched count** — ONE vectorized all-reduce
 //!    (`sum_u64_vec` over the `S`-entry vector of per-shard local
 //!    sizes) replaces S scalar count rounds.
@@ -27,15 +27,13 @@
 //! 4. **batched publish** (continuous mode) — the per-shard epoch
 //!    placements ride ONE vectorized exclusive prefix sum.
 //!
-//! Each shard is driven by its own unmodified
-//! [`ReservoirProtocol`] engine, so the protocol body — threshold
-//! bookkeeping, continuous publication, Section 5 output — exists once
-//! and is reused verbatim. The trick is the backend:
-//! [`ShardEndpoint`] serves the engine's collective steps from a **plan**
-//! the driver computed with the batched collectives above, instead of
-//! issuing per-shard collectives. Every planned value is consumed
-//! exactly once; a plan miss panics ("schedule drift") rather than
-//! silently desynchronizing the fleet.
+//! Each shard is an ordinary [`ReservoirProtocol`] over a
+//! [`CommBackend`], so the protocol body — when to select and for which
+//! rank, the post-step union, the finalized keep count and total,
+//! continuous publication, Section 5 output — exists once, in the
+//! engine. The fleet drives the engines' local phases itself and issues
+//! only the batched collectives above in place of the engines'
+//! per-shard ones.
 //!
 //! **The law is unchanged per shard.** Shard `s` draws its RNG streams
 //! through the same derivation a standalone
@@ -43,24 +41,27 @@
 //! with seed [`shard_seed`]`(seed, s)` would use, and the joint
 //! selection reproduces each shard's standalone selection trajectory
 //! byte-for-byte — so a shard's sample is *byte-identical* to the
-//! single-tenant sampler fed exactly that shard's records
-//! (`tests/sharded.rs` pins this, and the χ² suites pin the law).
+//! single-tenant sampler fed exactly that shard's records, batch report
+//! by batch report and epoch by epoch (`tests/sharded.rs` pins this, and
+//! the χ² suites pin the law).
 
 use std::sync::mpsc::Receiver;
 use std::time::Instant;
 
-use reservoir_btree::{BPlusTree, SampleKey};
 use reservoir_comm::{Collectives, Communicator};
-use reservoir_rng::{DefaultRng, StreamKind};
+use reservoir_obs::LazyCounter;
+use reservoir_par::Pool;
 use reservoir_select::{select_threaded_many, SelectParams, SelectResult, TargetRank};
 use reservoir_stream::ingest::MiniBatch;
 use reservoir_stream::{Item, ShardRouter};
 
-use reservoir_obs::LazyCounter;
-use reservoir_par::Pool;
-
-use crate::dist::engine::{Charge, InsertOutcome, Placement, ReservoirProtocol, SamplerBackend};
-use crate::dist::local::{LocalReservoir, ScanStats};
+use crate::dist::engine::{drain, Finalized, Placement, ReservoirProtocol, SamplerBackend};
+use crate::dist::output::SampleHandle;
+use crate::dist::snapshot::SnapshotReader;
+use crate::dist::threaded::CommBackend;
+use crate::dist::{BatchReport, ContinuousMode, DistConfig};
+use crate::metrics::PhaseTimes;
+use crate::sample::SampleItem;
 
 /// Batched supersteps driven across whole shard fleets.
 static SHARDED_BATCHES: LazyCounter = LazyCounter::new(
@@ -71,10 +72,6 @@ static SHARDED_JOINT_ROUNDS: LazyCounter = LazyCounter::new(
     "sharded_joint_rounds_total",
     "joint selection rounds paid on the wire by batched supersteps",
 );
-static SHARDED_SOLO_ROUNDS: LazyCounter = LazyCounter::new(
-    "sharded_solo_rounds_total",
-    "per-shard selection rounds solo scheduling would have paid instead",
-);
 static SHARDED_COLLECTIVE_LAUNCHES: LazyCounter = LazyCounter::new(
     "sharded_collective_launches_total",
     "collective launches amortized across shard fleets by batched supersteps",
@@ -83,12 +80,6 @@ static SHARDED_SPARSE_SKIPS: LazyCounter = LazyCounter::new(
     "shards_skipped_sparse_total",
     "shard engine steps skipped because the shard's bucket was empty fleet-wide",
 );
-use crate::dist::output::SampleHandle;
-use crate::dist::snapshot::SnapshotReader;
-use crate::dist::threaded::stream_seq;
-use crate::dist::{BatchReport, ContinuousMode, DistConfig, SamplingMode};
-use crate::metrics::PhaseTimes;
-use crate::sample::SampleItem;
 
 /// Shard `s`'s sampler seed under master seed `seed`: golden-ratio
 /// salted so shard streams are pairwise independent, and exposed so a
@@ -97,7 +88,7 @@ pub fn shard_seed(seed: u64, shard: usize) -> u64 {
     seed ^ (shard as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
-/// Elementwise sum — the combine of the vectorized place collectives.
+/// Elementwise sum — the combine of the vectorized place collective.
 fn add_vecs(mut a: Vec<u64>, b: Vec<u64>) -> Vec<u64> {
     debug_assert_eq!(a.len(), b.len());
     for (x, y) in a.iter_mut().zip(b) {
@@ -106,206 +97,22 @@ fn add_vecs(mut a: Vec<u64>, b: Vec<u64>) -> Vec<u64> {
     a
 }
 
-/// What the driver's real scan measured for one shard, replayed when
-/// the engine's step reaches that shard.
-struct PlannedScan {
-    stats: ScanStats,
-    insert_s: f64,
-    par_scan_max_s: f64,
+/// What one joint selection returned to the fleet.
+struct JointSelection {
+    /// Each shard's result, `None` for shards that did not select.
+    results: Vec<Option<SelectResult>>,
+    /// Joint rounds paid on the wire (2 collectives each).
+    rounds: u32,
+    /// Each selecting shard's share of the measured wall time.
+    share: f64,
 }
 
-/// The per-superstep plan one shard's endpoint serves to its engine.
-/// Each field is the result of a *batched* collective (or a value
-/// derivable from one) plus this shard's amortized share of the
-/// collective's measured wall time; each is taken exactly once.
-#[derive(Default)]
-struct ShardPlan {
-    scan: Option<PlannedScan>,
-    /// Served on `count(Charge::Threshold)`: this shard's slice of the
-    /// batched pre-select union count.
-    pre_union: Option<(u64, f64)>,
-    /// Served on `select(Charge::Select)`: this shard's result from the
-    /// joint batched selection.
-    batch_select: Option<(SelectResult, f64)>,
-    /// Served on `count(Charge::Output)`: the post-step (or collection
-    /// time) union, known from the batched count + selection ranks.
-    fin_union: Option<(u64, f64)>,
-    /// Served on `select(Charge::Output)`: this shard's result from the
-    /// joint finalize selection of `collect_output`.
-    fin_select: Option<(SelectResult, f64)>,
-    /// Served on `place`: `(expected keep, placement, time share)` from
-    /// the vectorized exclusive prefix sum.
-    placement: Option<(u64, Placement, f64)>,
-}
-
-/// One shard's endpoint of the engine: a real [`LocalReservoir`] and real
-/// RNG streams (byte-compatible with a standalone sampler under
-/// [`shard_seed`]), but every collective step served from the driver's
-/// batched [`ShardPlan`] instead of a per-shard wire round.
-pub struct ShardEndpoint<'a, C: Communicator> {
-    comm: &'a C,
-    local: LocalReservoir,
-    select_rng: DefaultRng,
-    plan: ShardPlan,
-}
-
-impl<'a, C: Communicator> ShardEndpoint<'a, C> {
-    /// The endpoint of one shard configured as `cfg`, scanning on the
-    /// PE's shared `pool`.
-    fn new(comm: &'a C, cfg: &DistConfig, pool: &Pool) -> Self {
-        let seq = stream_seq(cfg);
-        ShardEndpoint {
-            local: LocalReservoir::for_pe(cfg.local_cap(), pool.clone(), &seq, comm.rank()),
-            select_rng: seq.rng_for(comm.rank(), StreamKind::Selection),
-            plan: ShardPlan::default(),
-            comm,
-        }
-    }
-
-    /// The driver-side real scan, run *before* the engine steps so the
-    /// batched count collective can cover every shard's post-scan size.
-    fn scan(&mut self, mode: SamplingMode, items: &[Item], threshold: Option<SampleKey>) {
-        let t0 = Instant::now();
-        let stats = self.local.process(mode, items, threshold.map(|k| k.key));
-        let planned = PlannedScan {
-            stats,
-            insert_s: t0.elapsed().as_secs_f64(),
-            par_scan_max_s: self.local.last_scope_max_busy_s(),
-        };
-        let stale = self.plan.scan.replace(planned);
-        assert!(
-            stale.is_none(),
-            "sharded schedule drift: shard scanned twice without a step"
-        );
-    }
-}
-
-impl<C: Communicator> SamplerBackend for ShardEndpoint<'_, C> {
-    fn insert(
-        &mut self,
-        _mode: SamplingMode,
-        items: &[Item],
-        _threshold: Option<SampleKey>,
-        times: &mut PhaseTimes,
-    ) -> InsertOutcome {
-        debug_assert!(
-            items.is_empty(),
-            "the sharded driver scans shard buckets before stepping"
-        );
-        let planned = self
-            .plan
-            .scan
-            .take()
-            .expect("sharded schedule drift: step without a planned scan");
-        times.insert += planned.insert_s;
-        times.par_scan += planned.par_scan_max_s;
-        InsertOutcome {
-            stats: planned.stats,
-        }
-    }
-
-    fn count(&mut self, times: &mut PhaseTimes, charge: Charge) -> u64 {
-        let (union, share) = match charge {
-            Charge::Threshold => self
-                .plan
-                .pre_union
-                .take()
-                .expect("sharded schedule drift: step without a batched union count"),
-            Charge::Output => self
-                .plan
-                .fin_union
-                .take()
-                .expect("sharded schedule drift: finalize without a planned union"),
-            Charge::Select => unreachable!("the engine never bills a count to Select"),
-        };
-        *charge.slot(times) += share;
-        union
-    }
-
-    fn select(
-        &mut self,
-        target: TargetRank,
-        _union: u64,
-        _pivots: usize,
-        times: &mut PhaseTimes,
-        charge: Charge,
-    ) -> SelectResult {
-        let (res, share) = match charge {
-            Charge::Select => self
-                .plan
-                .batch_select
-                .take()
-                .expect("sharded schedule drift: unplanned batch selection"),
-            Charge::Output => self
-                .plan
-                .fin_select
-                .take()
-                .expect("sharded schedule drift: unplanned finalize selection"),
-            Charge::Threshold => unreachable!("the engine never bills a selection to Threshold"),
-        };
-        debug_assert!(
-            target.lo <= res.rank && res.rank <= target.hi,
-            "planned selection rank {} outside the engine's target {target:?}",
-            res.rank
-        );
-        *charge.slot(times) += share;
-        res
-    }
-
-    fn prune(&mut self, t: &SampleKey, times: &mut PhaseTimes, charge: Charge) {
-        let t0 = Instant::now();
-        self.local.prune_above(t);
-        *charge.slot(times) += t0.elapsed().as_secs_f64();
-    }
-
-    fn place(&mut self, local: u64, times: &mut PhaseTimes) -> Placement {
-        let (keep, placement, share) = self
-            .plan
-            .placement
-            .take()
-            .expect("sharded schedule drift: place without a planned placement");
-        debug_assert_eq!(
-            local, keep,
-            "planned placement disagrees with the engine's keep count"
-        );
-        times.output += share;
-        placement
-    }
-
-    fn local_len(&self) -> u64 {
-        self.local.len()
-    }
-
-    fn local_count_le(&self, t: &SampleKey) -> u64 {
-        self.local.count_le(t)
-    }
-
-    fn local_items_le(
-        &self,
-        t: Option<&SampleKey>,
-        buf: &mut Vec<SampleItem>,
-        times: &mut PhaseTimes,
-    ) {
-        let t0 = Instant::now();
-        self.local.items_le_into(t, buf);
-        times.output += t0.elapsed().as_secs_f64();
-    }
-
-    fn rank(&self) -> usize {
-        self.comm.rank()
-    }
-
-    fn size(&self) -> usize {
-        self.comm.size()
-    }
-
-    fn select_rng_state(&self) -> Vec<DefaultRng> {
-        vec![self.select_rng.clone()]
-    }
-
-    fn restore_select_rng(&mut self, mut state: Vec<DefaultRng>) {
-        self.select_rng = state.pop().expect("one shard, one selection generator");
-    }
+/// One shard's finalized and placed output slice.
+struct Finalization {
+    fin: Finalized,
+    placement: Placement,
+    /// Its share of the batched collectives' wall time.
+    output_s: f64,
 }
 
 /// What one batched superstep did across the whole shard fleet.
@@ -318,9 +125,8 @@ pub struct ShardedBatchReport {
     pub shards_selected: usize,
     /// Shards the sparse-batch fast path skipped this superstep: their
     /// bucket was empty on **every** PE and their union did not trigger
-    /// a selection, so no scan ran, no plan entries were made, and their
-    /// engine did not step (their synthesized [`BatchReport`] carries
-    /// only the known union size).
+    /// a selection, so no scan ran and their engine did not step (their
+    /// [`BatchReport`] carries only the known union size).
     pub shards_skipped: usize,
     /// Joint selection rounds the whole fleet paid (the **max** over
     /// the active shards' round counts — the amortization witness; a
@@ -331,7 +137,9 @@ pub struct ShardedBatchReport {
     pub solo_select_rounds: u64,
     /// Vectorized collective calls this superstep issued: 1 batched
     /// count + 2 per joint selection round + 1 batched placement per
-    /// continuous publication — independent of the shard count.
+    /// continuous publication (+ 2 per joint round of its finalize
+    /// selection, which only a size window needs) — independent of the
+    /// shard count.
     pub collective_calls: u32,
 }
 
@@ -363,10 +171,7 @@ pub struct ShardedPipelineReport {
 ///
 /// Construction is collective (every PE passes the same `cfg` and
 /// `shards`); `process_batch`, `run_pipeline` and `collect_output` are
-/// collective; the accessors are local. Variable-size windows are
-/// supported, but not combined with continuous snapshots (the step-time
-/// publication of an over-`k` window would need an extra planned
-/// selection; single-tenant samplers cover that case).
+/// collective; the accessors are local.
 ///
 /// The fleet steps its shards one at a time, so each PE builds one pool
 /// of `cfg.threads_per_pe` workers and every shard's reservoir scans on
@@ -374,7 +179,7 @@ pub struct ShardedPipelineReport {
 /// shard count.
 pub struct ShardedSampler<'a, C: Communicator> {
     comm: &'a C,
-    engines: Vec<ReservoirProtocol<ShardEndpoint<'a, C>>>,
+    engines: Vec<ReservoirProtocol<CommBackend<'a, C>>>,
 }
 
 impl<'a, C: Communicator> ShardedSampler<'a, C> {
@@ -382,10 +187,6 @@ impl<'a, C: Communicator> ShardedSampler<'a, C> {
     /// except for its [`shard_seed`]-derived seed.
     pub fn new(comm: &'a C, cfg: DistConfig, shards: usize) -> Self {
         assert!(shards >= 1, "at least one shard");
-        assert!(
-            cfg.size_window.is_none() || cfg.continuous == ContinuousMode::Disabled,
-            "sharded sampling supports a size window or continuous snapshots, not both"
-        );
         let pool = Pool::new(cfg.threads_per_pe);
         let engines = (0..shards)
             .map(|s| {
@@ -393,7 +194,8 @@ impl<'a, C: Communicator> ShardedSampler<'a, C> {
                     seed: shard_seed(cfg.seed, s),
                     ..cfg
                 };
-                ReservoirProtocol::new(ShardEndpoint::new(comm, &shard_cfg, &pool), shard_cfg)
+                let backend = CommBackend::with_pool(comm, &shard_cfg, pool.clone());
+                ReservoirProtocol::new(backend, shard_cfg)
             })
             .collect();
         ShardedSampler { comm, engines }
@@ -418,18 +220,141 @@ impl<'a, C: Communicator> ShardedSampler<'a, C> {
 
     /// Members shard `s` holds on this PE.
     pub fn local_len(&self, shard: usize) -> u64 {
-        self.engines[shard].backend().local.len()
+        self.engines[shard].backend().local_len()
     }
 
     /// Shard `s`'s sample members on this PE.
     pub fn local_sample(&self, shard: usize) -> Vec<SampleItem> {
-        self.engines[shard].backend().local.items()
+        self.engines[shard].backend().local_items()
     }
 
     /// A snapshot reader over shard `s`'s always-fresh epoch slot
     /// (publishes under [`ContinuousMode::EveryBatch`]).
     pub fn snapshot_reader(&self, shard: usize) -> SnapshotReader {
         self.engines[shard].snapshot_reader()
+    }
+
+    /// ONE vectorized all-reduce of every shard's local size, with the
+    /// `extra` words riding the same launch; returns the sums and the
+    /// wall time.
+    fn count(&self, extra: impl Iterator<Item = u64>) -> (Vec<u64>, f64) {
+        let t0 = Instant::now();
+        let words: Vec<u64> = self
+            .engines
+            .iter()
+            .map(|e| e.backend().local_len())
+            .chain(extra)
+            .collect();
+        let sums = self.comm.sum_u64_vec(words);
+        (sums, t0.elapsed().as_secs_f64())
+    }
+
+    /// ONE joint selection (collective) for every shard `tasks` names,
+    /// with its target and agreed union. Each shard selects on its own
+    /// selection stream, which advances only when `commit` (epoch
+    /// publication selects on a copy, as the engine's checkpoint does).
+    fn joint_select(
+        &mut self,
+        tasks: &[Option<(TargetRank, u64)>],
+        commit: bool,
+    ) -> JointSelection {
+        let mut results = vec![None; tasks.len()];
+        let active: Vec<usize> = (0..tasks.len()).filter(|&s| tasks[s].is_some()).collect();
+        if active.is_empty() {
+            return JointSelection {
+                results,
+                rounds: 0,
+                share: 0.0,
+            };
+        }
+        let t0 = Instant::now();
+        let (targets, totals): (Vec<TargetRank>, Vec<u64>) =
+            active.iter().filter_map(|&s| tasks[s]).unzip();
+        let mut rngs: Vec<_> = active
+            .iter()
+            .map(|&s| self.engines[s].backend().select_rng.clone())
+            .collect();
+        let outcome = {
+            let sets: Vec<_> = active
+                .iter()
+                .map(|&s| self.engines[s].backend().local.tree())
+                .collect();
+            select_threaded_many(
+                self.comm,
+                &sets,
+                &targets,
+                &totals,
+                SelectParams::with_pivots(self.engines[0].config().pivots),
+                &mut rngs,
+            )
+        };
+        let share = t0.elapsed().as_secs_f64() / active.len() as f64;
+        for ((&s, res), rng) in active.iter().zip(outcome.results).zip(rngs) {
+            results[s] = Some(res);
+            if commit {
+                self.engines[s].backend_mut().select_rng = rng;
+            }
+        }
+        JointSelection {
+            results,
+            rounds: outcome.joint_rounds,
+            share,
+        }
+    }
+
+    /// The Section 5 finalize → place sequence (collective) for every
+    /// shard with a union in `unions` (`None` sits out): ONE
+    /// joint finalize selection and ONE vectorized exclusive prefix sum,
+    /// whatever the shard count. `commit` as in [`Self::joint_select`].
+    /// Also returns the collective launches it issued.
+    fn finalize(
+        &mut self,
+        unions: &[Option<u64>],
+        commit: bool,
+    ) -> (Vec<Option<Finalization>>, u32) {
+        let n = self.engines.len();
+        let tasks: Vec<_> = self
+            .engines
+            .iter()
+            .zip(unions)
+            .map(|(e, u)| u.and_then(|u| e.finalize_target(u).map(|t| (t, u))))
+            .collect();
+        let sel = self.joint_select(&tasks, commit);
+        let mut outs: Vec<Option<Finalization>> = (0..n)
+            .map(|s| {
+                let fin = self.engines[s].finalized(unions[s]?, sel.results[s]);
+                Some(Finalization {
+                    placement: Placement {
+                        offset: 0,
+                        total: fin.total,
+                    },
+                    output_s: if sel.results[s].is_some() {
+                        sel.share
+                    } else {
+                        0.0
+                    },
+                    fin,
+                })
+            })
+            .collect();
+        let t0 = Instant::now();
+        let keeps = outs
+            .iter()
+            .map(|o| o.as_ref().map_or(0, |o| o.fin.keep))
+            .collect();
+        let offsets = self
+            .comm
+            .exscan(keeps, add_vecs)
+            .unwrap_or_else(|| vec![0; n]);
+        let placed = outs.iter().flatten().count().max(1);
+        let place_share = t0.elapsed().as_secs_f64() / placed as f64;
+        for (out, offset) in outs.iter_mut().zip(offsets) {
+            if let Some(out) = out {
+                out.placement.offset = offset;
+                out.output_s += place_share;
+            }
+        }
+        (outs, 1 + 2 * sel.rounds)
     }
 
     /// One batched superstep over pre-routed buckets (collective; one
@@ -439,189 +364,98 @@ impl<'a, C: Communicator> ShardedSampler<'a, C> {
         let s_count = self.engines.len();
         assert_eq!(buckets.len(), s_count, "one bucket per shard");
 
-        // Phase 1 — real per-shard scans, local. A shard with an empty
-        // *local* bucket defers its scan: the batched count below reveals
-        // whether the bucket was empty fleet-wide (skip the shard
-        // entirely) or only here (run the empty scan then, to keep the
-        // engine schedule aligned with the standalone sampler). An empty
-        // scan never changes the local length, so the deferred shards'
-        // count words are still correct.
-        for (s, bucket) in buckets.iter().enumerate() {
-            if bucket.is_empty() {
-                continue;
-            }
-            let threshold = self.engines[s].threshold_key();
-            let mode = self.engines[s].config().mode;
-            self.engines[s].backend_mut().scan(mode, bucket, threshold);
-        }
+        // Phase 1 — per-shard scans, local. Scanning an empty bucket only
+        // advances the reservoir's batch counter, so an empty bucket takes
+        // that O(1) path instead of a scan call.
+        let mut per_shard: Vec<BatchReport> = self
+            .engines
+            .iter_mut()
+            .zip(buckets)
+            .map(|(engine, bucket)| {
+                if bucket.is_empty() {
+                    engine.backend_mut().local.skip_batch();
+                    BatchReport::default()
+                } else {
+                    engine.scan(bucket)
+                }
+            })
+            .collect();
 
         // Phase 2 — ONE vectorized count across all shards. The same
         // launch also carries the per-shard bucket lengths (2S words, still
         // one collective), so every PE agrees on which shards saw no
         // records anywhere.
-        let t0 = Instant::now();
-        let words: Vec<u64> = self
-            .engines
-            .iter()
-            .map(|e| e.backend().local.len())
-            .chain(buckets.iter().map(|b| b.len() as u64))
-            .collect();
-        let sums = self.comm.sum_u64_vec(words);
-        let unions = &sums[..s_count];
-        let count_share = t0.elapsed().as_secs_f64() / s_count as f64;
-        let mut collective_calls = 1u32;
-
-        // A shard skips when its bucket is empty on every PE *and* its
-        // (unchanged) union does not trigger a selection — deterministic
-        // from collective data, so the fleet agrees without extra wire.
-        let skipped: Vec<bool> = (0..s_count)
-            .map(|s| sums[s_count + s] == 0 && !self.engines[s].select_now(unions[s]))
-            .collect();
-        for s in 0..s_count {
-            if skipped[s] {
-                continue;
-            }
-            if buckets[s].is_empty() {
-                // Deferred in phase 1 but not skipped (nonempty
-                // elsewhere, or a pending selection): run the empty scan
-                // now so the engine's insert step finds its plan.
-                let threshold = self.engines[s].threshold_key();
-                let mode = self.engines[s].config().mode;
-                self.engines[s]
-                    .backend_mut()
-                    .scan(mode, &buckets[s], threshold);
-            }
-            self.engines[s].backend_mut().plan.pre_union = Some((unions[s], count_share));
-        }
+        let (sums, count_s) = self.count(buckets.iter().map(|b| b.len() as u64));
+        let (unions, fleet_records) = sums.split_at(s_count);
 
         // Phase 3 — ONE joint selection for every shard over its limit.
-        let active: Vec<usize> = (0..s_count)
-            .filter(|&s| self.engines[s].select_now(unions[s]))
-            .collect();
-        let mut joint_rounds = 0u32;
-        let mut solo_rounds = 0u64;
-        if !active.is_empty() {
-            let t0 = Instant::now();
-            let pivots = self.engines[0].config().pivots;
-            let targets: Vec<TargetRank> = active
-                .iter()
-                .map(|&s| self.engines[s].select_target())
-                .collect();
-            let totals: Vec<u64> = active.iter().map(|&s| unions[s]).collect();
-            let mut rngs: Vec<DefaultRng> = active
-                .iter()
-                .map(|&s| self.engines[s].backend().select_rng.clone())
-                .collect();
-            let outcome = {
-                let sets: Vec<&BPlusTree<SampleKey, f64>> = active
-                    .iter()
-                    .map(|&s| self.engines[s].backend().local.tree())
-                    .collect();
-                select_threaded_many(
-                    self.comm,
-                    &sets,
-                    &targets,
-                    &totals,
-                    SelectParams::with_pivots(pivots),
-                    &mut rngs,
-                )
-            };
-            let select_share = t0.elapsed().as_secs_f64() / active.len() as f64;
-            joint_rounds = outcome.joint_rounds;
-            collective_calls += 2 * outcome.joint_rounds;
-            let mut rngs = rngs.into_iter();
-            for (i, &s) in active.iter().enumerate() {
-                let be = self.engines[s].backend_mut();
-                be.select_rng = rngs.next().expect("one stream per active shard");
-                be.plan.batch_select = Some((outcome.results[i], select_share));
-                solo_rounds += outcome.results[i].rounds as u64;
-            }
-        }
-
-        // Phase 4 (continuous only) — plan each shard's epoch
-        // publication: the post-step union is already known (selection
-        // rank, or the batched count), so only the placement offsets
-        // need a wire round — ONE vectorized exclusive prefix sum.
-        if self.engines[0].config().continuous == ContinuousMode::EveryBatch {
-            let mut keeps = Vec::with_capacity(s_count);
-            let mut posts = Vec::with_capacity(s_count);
-            for (s, engine) in self.engines.iter().enumerate() {
-                if skipped[s] {
-                    // A skipped shard keeps its previous epoch (its
-                    // sample is unchanged this superstep — readers see a
-                    // stale epoch number, same members); it neither
-                    // publishes nor places, so it rides the collective
-                    // with zero words.
-                    keeps.push(0);
-                    posts.push(0);
-                    continue;
-                }
-                let be = engine.backend();
-                match be.plan.batch_select {
-                    Some((res, _)) => {
-                        keeps.push(be.local.count_le(&res.threshold));
-                        posts.push(res.rank);
-                    }
-                    None => {
-                        keeps.push(be.local.len());
-                        posts.push(unions[s]);
-                    }
-                }
-            }
-            let t0 = Instant::now();
-            let offsets = self
-                .comm
-                .exscan(keeps.clone(), add_vecs)
-                .unwrap_or_else(|| vec![0; s_count]);
-            let output_share = t0.elapsed().as_secs_f64() / s_count as f64;
-            collective_calls += 1;
-            for s in 0..s_count {
-                if skipped[s] {
-                    continue;
-                }
-                let be = self.engines[s].backend_mut();
-                be.plan.fin_union = Some((posts[s], output_share));
-                be.plan.placement = Some((
-                    keeps[s],
-                    Placement {
-                        offset: offsets[s],
-                        total: posts[s],
-                    },
-                    output_share,
-                ));
-            }
-        }
-
-        // Phase 5 — every *active* engine steps; endpoints serve the
-        // plan. The only remaining work is local (replayed insert,
-        // prune, publication extract). A skipped shard's engine does not
-        // step at all — its reservoir just accounts for the empty batch
-        // (a batch-counter bump), which is exactly the state change
-        // processing the empty bucket would have caused.
-        let mut shards_skipped = 0usize;
-        let per_shard: Vec<BatchReport> = (0..s_count)
+        let tasks: Vec<_> = (0..s_count)
             .map(|s| {
-                if skipped[s] {
-                    shards_skipped += 1;
-                    self.engines[s].backend_mut().local.skip_batch();
-                    return BatchReport {
-                        sample_size: unions[s],
-                        ..BatchReport::default()
-                    };
-                }
-                self.engines[s].step(&[])
+                self.engines[s]
+                    .step_target(unions[s])
+                    .map(|t| (t, unions[s]))
             })
             .collect();
+        let sel = self.joint_select(&tasks, true);
+        let mut collective_calls = 1 + 2 * sel.rounds;
+
+        // A shard skips when its bucket is empty on every PE *and* its
+        // (unchanged) union calls for no selection — deterministic from
+        // collective data, so the fleet agrees without extra wire. Its
+        // engine does not step: the batch-counter bump above is exactly
+        // the state change processing the empty bucket would have made,
+        // and its report carries only the union.
+        let stepped: Vec<bool> = (0..s_count)
+            .map(|s| fleet_records[s] > 0 || tasks[s].is_some())
+            .collect();
+        let shards_skipped = stepped.iter().filter(|&&on| !on).count();
+        let count_share = count_s / (s_count - shards_skipped).max(1) as f64;
+        for (s, report) in per_shard.iter_mut().enumerate() {
+            if stepped[s] {
+                report.times.threshold += count_share;
+                if sel.results[s].is_some() {
+                    report.times.select += sel.share;
+                }
+            }
+            self.engines[s].adopt(unions[s], sel.results[s], report);
+        }
+
+        // Phase 4 (continuous only) — every stepped shard publishes an
+        // epoch over its post-step union: the batched finalize sequence,
+        // on checkpointed selection streams.
+        if self.engines[0].config().continuous == ContinuousMode::EveryBatch {
+            let posts: Vec<Option<u64>> = (0..s_count)
+                .map(|s| stepped[s].then_some(per_shard[s].sample_size))
+                .collect();
+            let (outs, calls) = self.finalize(&posts, false);
+            collective_calls += calls;
+            for (s, out) in outs.into_iter().enumerate() {
+                if let Some(out) = out {
+                    let times = &mut per_shard[s].times;
+                    times.output += out.output_s;
+                    let items = self.engines[s].extract(&out.fin, times);
+                    self.engines[s].publish(items, out.placement, &out.fin);
+                }
+            }
+        }
+
+        // Phase 5 — every stepped engine closes its step.
+        let mut solo_rounds = 0u64;
+        for (s, report) in per_shard.iter().enumerate() {
+            if stepped[s] {
+                self.engines[s].close_step(buckets[s].len() as u64, report);
+                solo_rounds += report.select_rounds as u64;
+            }
+        }
         SHARDED_BATCHES.inc();
-        SHARDED_JOINT_ROUNDS.add(joint_rounds as u64);
-        SHARDED_SOLO_ROUNDS.add(solo_rounds);
+        SHARDED_JOINT_ROUNDS.add(sel.rounds as u64);
         SHARDED_COLLECTIVE_LAUNCHES.add(collective_calls as u64);
         SHARDED_SPARSE_SKIPS.add(shards_skipped as u64);
         ShardedBatchReport {
             per_shard,
-            shards_selected: active.len(),
+            shards_selected: sel.results.iter().flatten().count(),
             shards_skipped,
-            joint_select_rounds: joint_rounds,
+            joint_select_rounds: sel.rounds,
             solo_select_rounds: solo_rounds,
             collective_calls,
         }
@@ -629,93 +463,24 @@ impl<'a, C: Communicator> ShardedSampler<'a, C> {
 
     /// Section 5 output for the whole fleet (collective): ONE batched
     /// union count, ONE joint finalize selection over every shard still
-    /// above `k`, and ONE vectorized placement prefix sum — then each
-    /// engine's unmodified `collect_output` serves its shard's handle.
+    /// above `k`, and ONE vectorized placement prefix sum; each engine
+    /// then builds its shard's handle.
     pub fn collect_output(&mut self) -> Vec<SampleHandle> {
-        let s_count = self.engines.len();
-        // Batched finalize count.
-        let t0 = Instant::now();
-        let lens: Vec<u64> = self
-            .engines
-            .iter()
-            .map(|e| e.backend().local.len())
-            .collect();
-        let unions = self.comm.sum_u64_vec(lens);
-        let count_share = t0.elapsed().as_secs_f64() / s_count as f64;
-        // Joint finalize selection for shards whose union exceeds k.
-        let need: Vec<usize> = (0..s_count)
-            .filter(|&s| unions[s] > self.engines[s].config().k as u64)
-            .collect();
-        let mut fin_threshold: Vec<Option<SampleKey>> = vec![None; s_count];
-        if !need.is_empty() {
-            let t0 = Instant::now();
-            let pivots = self.engines[0].config().pivots;
-            let targets: Vec<TargetRank> = need
-                .iter()
-                .map(|&s| TargetRank::exact(self.engines[s].config().k as u64))
-                .collect();
-            let totals: Vec<u64> = need.iter().map(|&s| unions[s]).collect();
-            let mut rngs: Vec<DefaultRng> = need
-                .iter()
-                .map(|&s| self.engines[s].backend().select_rng.clone())
-                .collect();
-            let outcome = {
-                let sets: Vec<&BPlusTree<SampleKey, f64>> = need
-                    .iter()
-                    .map(|&s| self.engines[s].backend().local.tree())
-                    .collect();
-                select_threaded_many(
-                    self.comm,
-                    &sets,
-                    &targets,
-                    &totals,
-                    SelectParams::with_pivots(pivots),
-                    &mut rngs,
-                )
-            };
-            let select_share = t0.elapsed().as_secs_f64() / need.len() as f64;
-            let mut rngs = rngs.into_iter();
-            for (i, &s) in need.iter().enumerate() {
-                let be = self.engines[s].backend_mut();
-                // The standalone finalize consumes the selection stream
-                // (no checkpoint on the output path); match it.
-                be.select_rng = rngs.next().expect("one stream per finalizing shard");
-                be.plan.fin_select = Some((outcome.results[i], select_share));
-                fin_threshold[s] = Some(outcome.results[i].threshold);
-            }
-        }
-        // Vectorized placement.
-        let keeps: Vec<u64> = (0..s_count)
-            .map(|s| {
-                let be = self.engines[s].backend();
-                match &fin_threshold[s] {
-                    Some(t) => be.local.count_le(t),
-                    None => be.local.len(),
-                }
-            })
-            .collect();
-        let t0 = Instant::now();
-        let offsets = self
-            .comm
-            .exscan(keeps.clone(), add_vecs)
-            .unwrap_or_else(|| vec![0; s_count]);
-        let output_share = t0.elapsed().as_secs_f64() / s_count as f64;
-        for s in 0..s_count {
-            let k = self.engines[s].config().k as u64;
-            let be = self.engines[s].backend_mut();
-            be.plan.fin_union = Some((unions[s], count_share));
-            be.plan.placement = Some((
-                keeps[s],
-                Placement {
-                    offset: offsets[s],
-                    total: unions[s].min(k),
-                },
-                output_share,
-            ));
-        }
+        let (unions, count_s) = self.count(std::iter::empty());
+        let count_share = count_s / self.engines.len() as f64;
+        let unions: Vec<Option<u64>> = unions.into_iter().map(Some).collect();
+        let (outs, _) = self.finalize(&unions, true);
         self.engines
             .iter_mut()
-            .map(|e| e.collect_output().0)
+            .zip(outs.into_iter().flatten())
+            .map(|(engine, out)| {
+                let mut times = PhaseTimes {
+                    output: count_share + out.output_s,
+                    ..PhaseTimes::default()
+                };
+                let items = engine.extract(&out.fin, &mut times);
+                engine.output(items, out.placement, &out.fin, times).0
+            })
             .collect()
     }
 
@@ -735,44 +500,27 @@ impl<'a, C: Communicator> ShardedSampler<'a, C> {
             "router and sampler disagree on the shard count"
         );
         let mut buckets: Vec<Vec<Item>> = vec![Vec::new(); self.engines.len()];
-        let (mut drained, mut rounds, mut records) = (0u64, 0u64, 0u64);
         let (mut joint, mut solo, mut calls) = (0u64, 0u64, 0u64);
-        let mut open = true;
-        loop {
-            let next = if open {
-                match batches.recv() {
-                    Ok(batch) => Some(batch),
-                    Err(_) => {
-                        open = false;
-                        None
-                    }
+        let tally = drain(
+            batches,
+            self,
+            |fleet, active| fleet.comm.sum_u64(active),
+            |fleet, items| {
+                for bucket in &mut buckets {
+                    bucket.clear();
                 }
-            } else {
-                None
-            };
-            let active = self.comm.sum_u64(next.is_some() as u64);
-            if active == 0 {
-                break;
-            }
-            for bucket in &mut buckets {
-                bucket.clear();
-            }
-            if let Some(batch) = next {
-                drained += 1;
-                records += batch.items.len() as u64;
-                router.route_into(batch.items, &mut buckets);
-            }
-            let report = self.process_batch(&buckets);
-            rounds += 1;
-            joint += report.joint_select_rounds as u64;
-            solo += report.solo_select_rounds;
-            calls += report.collective_calls as u64;
-        }
+                router.route_into(items.iter().copied(), &mut buckets);
+                let report = fleet.process_batch(&buckets);
+                joint += report.joint_select_rounds as u64;
+                solo += report.solo_select_rounds;
+                calls += report.collective_calls as u64;
+            },
+        );
         let handles = self.collect_output();
         ShardedPipelineReport {
-            batches: drained,
-            rounds,
-            records,
+            batches: tally.batches,
+            rounds: tally.rounds,
+            records: tally.records,
             joint_select_rounds: joint,
             solo_select_rounds: solo,
             collective_calls: calls,

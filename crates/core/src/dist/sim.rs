@@ -261,14 +261,6 @@ impl SimConfig {
             ..DistConfig::base(self.k, self.seed, self.threads_per_pe, self.continuous)
         }
     }
-
-    /// The size the local reservoirs must retain during the growing phase.
-    fn local_cap(&self) -> usize {
-        match self.size_window {
-            Some((_, hi)) => (hi as usize).max(self.k),
-            None => self.k,
-        }
-    }
 }
 
 /// What one simulated mini-batch did.
@@ -603,7 +595,7 @@ impl<L: LocalCostModel> SimBackend<L> {
     fn growing_insert(&mut self, mode: SamplingMode, times: &mut PhaseTimes) -> u64 {
         let b = self.cfg.b_per_pe;
         let total_batch = self.cfg.p as u64 * b;
-        let cap = self.cfg.local_cap();
+        let cap = self.cfg.engine_config().local_cap();
         let sp = self.costs.scan_speedup(self.cfg.threads_per_pe as u64);
         let mut max_cost = 0.0f64;
         let mut total_inserted = 0u64;

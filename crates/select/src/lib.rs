@@ -28,7 +28,7 @@
 //! approximate `amsSelect` of Section 3.3.2 (used by the variable-size
 //! reservoir of Section 4.4) passes a genuine window `k..k̄`.
 //!
-//! Two drivers share the same [`state::SelectionState`] machine:
+//! Two drivers share the same `SelectionState` machine:
 //! [`threaded::select_threaded_many`] runs the real message-passing
 //! protocol on a [`reservoir_comm::Communicator`] for any number of
 //! independent selections behind one collective schedule (one task for a

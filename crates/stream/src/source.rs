@@ -1,6 +1,6 @@
 //! Per-PE mini-batch production.
 
-use reservoir_rng::{DefaultRng, Rng64, SeedSequence, StreamKind};
+use reservoir_rng::{DefaultRng, SeedSequence, StreamKind};
 
 use crate::gen::{IdStream, WeightGen};
 use crate::Item;
@@ -108,13 +108,6 @@ impl StreamSource {
     /// The PE this source belongs to.
     pub fn pe(&self) -> usize {
         self.pe
-    }
-
-    /// Raw access to the weight generator's RNG stream — used by samplers
-    /// that interleave extra draws (e.g. the simulator's conditional
-    /// candidate generation).
-    pub fn rng_mut(&mut self) -> &mut impl Rng64 {
-        &mut self.rng
     }
 }
 

@@ -156,7 +156,7 @@ fn main() {
         );
     }
     let phases_note: f64 =
-        results.iter().map(|(r, ..)| r.ingest_wait_s).sum::<f64>() / results.len() as f64;
+        results.iter().map(|(r, ..)| r.times.ingest).sum::<f64>() / results.len() as f64;
     println!("\nmean per-switch ingest wait (sampler faster than the feed): {phases_note:.3} s");
 
     println!(

@@ -16,7 +16,8 @@ mod common;
 use common::{chi_square_upper, skewed_weight, two_sample_chi_square};
 use reservoir::comm::run_threads;
 use reservoir::dist::threaded::DistributedSampler;
-use reservoir::dist::{shard_seed, ContinuousMode, DistConfig, ShardedSampler};
+use reservoir::dist::{shard_seed, BatchReport, ContinuousMode, DistConfig, ShardedSampler};
+use reservoir::metrics::PhaseTimes;
 use reservoir::rng::test_base_seed;
 use reservoir::stream::ingest::{spawn_source, BatchPolicy, SyntheticRecords};
 use reservoir::stream::{route_by_id, Item, ShardRouter, StreamSpec, WeightGen};
@@ -38,9 +39,19 @@ fn sorted_ids(items: &[reservoir::SampleItem]) -> Vec<u64> {
     ids
 }
 
+/// A step report without its wall-clock `times`, the one field that
+/// legitimately differs between a fleet shard and its standalone twin.
+fn sans_times(r: &BatchReport) -> BatchReport {
+    BatchReport {
+        times: PhaseTimes::default(),
+        ..*r
+    }
+}
+
 /// Shard `s` of the fleet == a standalone sampler with `shard_seed(seed, s)`
-/// fed exactly shard `s`'s bucket stream: byte-identical local samples,
-/// thresholds, and Section 5 handles, at several PE and shard counts.
+/// fed exactly shard `s`'s bucket stream: byte-identical batch reports
+/// (every field but the wall-clock times), local samples, thresholds,
+/// and Section 5 handles, at several PE and shard counts.
 #[test]
 fn shard_matches_standalone_sampler_exactly() {
     let seed = test_base_seed();
@@ -56,11 +67,19 @@ fn shard_matches_standalone_sampler_exactly() {
                     DistributedSampler::new(&comm, cfg)
                 })
                 .collect();
-            for batch in batches_for(comm.rank(), p, 4_000, 4) {
+            for (b, batch) in batches_for(comm.rank(), p, 4_000, 4)
+                .into_iter()
+                .enumerate()
+            {
                 let buckets = router.route(batch);
-                fleet.process_batch(&buckets);
+                let report = fleet.process_batch(&buckets);
                 for (s, solo) in solo.iter_mut().enumerate() {
-                    solo.process_batch(&buckets[s]);
+                    let r = solo.process_batch(&buckets[s]);
+                    assert_eq!(
+                        sans_times(&report.per_shard[s]),
+                        sans_times(&r),
+                        "batch report, batch {b} shard {s}"
+                    );
                 }
             }
             // Streaming state matches per shard...
@@ -85,6 +104,68 @@ fn shard_matches_standalone_sampler_exactly() {
             handles.len()
         });
         assert!(results.iter().all(|&n| n == shards), "p={p}");
+    }
+}
+
+/// Under continuous publication, every shard's epoch after every batch
+/// equals the epoch its standalone continuous twin published: same
+/// epoch number, members, placement, total and threshold bits — for
+/// exact-size shards and for size-window shards, whose publication runs
+/// a joint finalize selection on checkpointed streams.
+#[test]
+fn continuous_shard_epochs_match_standalone_epochs() {
+    let seed = test_base_seed() ^ 0xE90C;
+    for window in [None, Some((20u64, 45u64))] {
+        for (p, shards) in [(1usize, 4usize), (3, 5)] {
+            run_threads(p, |comm| {
+                use reservoir::comm::Communicator;
+                let router = route_by_id(shards);
+                let shaped = |cfg: DistConfig| {
+                    let cfg = cfg.with_continuous(ContinuousMode::EveryBatch);
+                    match window {
+                        Some((lo, hi)) => cfg.with_size_window(lo, hi),
+                        None => cfg,
+                    }
+                };
+                let mut fleet =
+                    ShardedSampler::new(&comm, shaped(DistConfig::weighted(20, seed)), shards);
+                let mut solo: Vec<DistributedSampler<_>> = (0..shards)
+                    .map(|s| {
+                        let cfg = shaped(DistConfig::weighted(20, shard_seed(seed, s)));
+                        DistributedSampler::new(&comm, cfg)
+                    })
+                    .collect();
+                for (b, batch) in batches_for(comm.rank(), p, 4_000, 6)
+                    .into_iter()
+                    .enumerate()
+                {
+                    let buckets = router.route(batch);
+                    // Every shard sees records in every batch, so none
+                    // skips a publication its twin makes.
+                    assert_eq!(fleet.process_batch(&buckets).shards_skipped, 0);
+                    for (s, solo) in solo.iter_mut().enumerate() {
+                        solo.process_batch(&buckets[s]);
+                        let (got, want) = (
+                            fleet.snapshot_reader(s).read(),
+                            solo.snapshot_reader().read(),
+                        );
+                        let at = format!("window {window:?}, p {p}, batch {b}, shard {s}");
+                        assert_eq!(got.epoch, want.epoch, "epoch number, {at}");
+                        assert_eq!(got.items, want.items, "members, {at}");
+                        assert_eq!(
+                            (got.offset, got.total),
+                            (want.offset, want.total),
+                            "placement, {at}"
+                        );
+                        assert_eq!(
+                            got.threshold.map(f64::to_bits),
+                            want.threshold.map(f64::to_bits),
+                            "threshold, {at}"
+                        );
+                    }
+                }
+            });
+        }
     }
 }
 
@@ -311,8 +392,7 @@ fn sharded_size_window_finalizes_to_k() {
         let shards = 4;
         let router = route_by_id(shards);
         // Window mode is the subject here — pin continuous publication off
-        // so the test is independent of the RESERVOIR_CONTINUOUS default
-        // (the fleet rejects combining the two).
+        // so the test is independent of the RESERVOIR_CONTINUOUS default.
         let cfg = DistConfig::weighted(10, seed)
             .with_size_window(10, 25)
             .with_continuous(ContinuousMode::Disabled);
