@@ -351,8 +351,9 @@ pub struct PipelineReport {
     pub select_rounds: u64,
     /// Phase times of this drain on this PE, including the ingest wait
     /// (`times.ingest`: seconds blocked on the ingestion channel plus in
-    /// the drain's own continue/stop agreement) — the engine's unified pipeline driver fills every phase on both
-    /// backend policies (the same accounting as
+    /// the drain's own continue/stop agreement) — the engine's unified
+    /// pipeline driver fills every phase on both backend policies (the
+    /// same accounting as
     /// [`threaded::DistributedSampler::phase_totals`], restricted to this
     /// drain).
     pub times: crate::metrics::PhaseTimes,

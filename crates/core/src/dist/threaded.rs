@@ -499,8 +499,8 @@ mod tests {
             assert!(s.phase_totals().ingest > 0.0, "ingest wait not recorded");
             // The report's phase decomposition covers this drain: the
             // ingest wait and the algorithm phases.
-            assert!(report.times.ingest > 0.0);
-            assert!(report.times.insert > 0.0 && report.times.output > 0.0);
+            let t = &report.times;
+            assert!(t.ingest > 0.0 && t.insert > 0.0 && t.output > 0.0);
             let mut ids: Vec<u64> = report.handle.local_items().iter().map(|m| m.id).collect();
             ids.sort_unstable();
             ids

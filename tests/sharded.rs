@@ -116,10 +116,12 @@ fn shard_matches_standalone_sampler_exactly() {
 fn continuous_shard_epochs_match_standalone_epochs() {
     let seed = test_base_seed() ^ 0xE90C;
     for window in [None, Some((20u64, 45u64))] {
+        let mut fin_selects = 0u32;
         for (p, shards) in [(1usize, 4usize), (3, 5)] {
-            run_threads(p, |comm| {
+            fin_selects += run_threads(p, |comm| {
                 use reservoir::comm::Communicator;
                 let router = route_by_id(shards);
+                let mut fin_selects = 0u32;
                 let shaped = |cfg: DistConfig| {
                     let cfg = cfg.with_continuous(ContinuousMode::EveryBatch);
                     match window {
@@ -162,10 +164,18 @@ fn continuous_shard_epochs_match_standalone_epochs() {
                             want.threshold.map(f64::to_bits),
                             "threshold, {at}"
                         );
+                        assert_eq!(got.rounds, want.rounds, "finalize rounds, {at}");
+                        fin_selects += (got.rounds > 0) as u32;
                     }
                 }
-            });
+                fin_selects
+            })[0];
         }
+        assert_eq!(
+            fin_selects > 0,
+            window.is_some(),
+            "only window shards finalize their epochs by selection"
+        );
     }
 }
 
