@@ -81,7 +81,11 @@ fn main() {
                 let rep = fleet.process_batch(&buckets);
                 collectives += rep.collective_calls as u64;
                 joint += rep.joint_select_rounds as u64;
-                solo += rep.solo_select_rounds;
+                solo += rep
+                    .per_shard
+                    .iter()
+                    .map(|r| r.select_rounds as u64)
+                    .sum::<u64>();
             }
             (start.elapsed().as_secs_f64(), collectives, joint, solo)
         });

@@ -1,82 +1,78 @@
-//! In-order iteration over the tree.
+//! In-order walks over the tree.
 //!
 //! The paper's B+ tree links leaves so neighbours are reachable in O(1).
-//! Safe owned-`Box` trees cannot store sibling pointers, so the walk keeps
-//! an explicit stack of child cursors instead. [`Leaves`] yields whole leaf
-//! slices — amortized O(1) per leaf, worst-case O(log n) — which is how bulk
-//! extraction copies the sample out; [`Iter`] flattens those slices for
-//! per-entry walks (successor searches, tests). The stack is a fixed array
-//! inside the iterator, so a walk never touches the allocator: a shard
-//! fleet extracts hundreds of small trees per collection, where a heap
-//! stack per walk costs more than copying the entries out.
+//! Safe owned-`Box` trees cannot store sibling pointers, and neither walk
+//! here keeps a cursor stack of its own. [`visit_leaves`] recurses down the
+//! tree on the call stack and hands each nonempty leaf to a visitor as a
+//! key-sorted slice, amortized O(1) per leaf; the visitor can stop the walk
+//! early. That is how bulk extraction copies the sample out
+//! ([`BPlusTree::for_each_leaf`](crate::BPlusTree::for_each_leaf)): a shard
+//! fleet extracts hundreds of small trees per collection, so a walk must
+//! cost no more than its leaves. [`Iter`] steps entry by entry; at each leaf
+//! boundary it descends again from the root to the first leaf past the last
+//! key it returned, O(log n) per leaf, which serves successor searches and
+//! tests. Neither walk touches the allocator.
+
+use std::ops::ControlFlow;
 
 use crate::node::Node;
 
-/// Cursor slots of a [`Leaves`] walk, one per tree level. At
-/// [`MIN_DEGREE`](crate::MIN_DEGREE) every non-root inner node has at
-/// least 2 children and every non-root leaf at least 2 entries, so a tree
-/// of height h ≥ 1 holds at least 2^(h+1) entries. A length that fits in
-/// `usize` therefore bounds h by `usize::BITS - 2`, and the h + 1 levels
-/// of the walk fit in this many slots.
-const MAX_LEVELS: usize = usize::BITS as usize;
-
-/// Borrowing in-order iterator over the tree's nonempty leaves, each as a
-/// key-sorted `&[(key, value)]` slice. Concatenated, the slices are exactly
-/// [`Iter`]'s sequence; an empty tree yields no slice at all.
-pub struct Leaves<'a, K, V> {
-    /// One cursor per level on the path to the next leaf: the siblings
-    /// still to visit at that level. Only `stack[..depth]` is live.
-    stack: [std::slice::Iter<'a, Node<K, V>>; MAX_LEVELS],
-    depth: usize,
-}
-
-impl<'a, K: Ord + Clone, V> Leaves<'a, K, V> {
-    pub(crate) fn new(root: &'a Node<K, V>) -> Self {
-        let mut stack = std::array::from_fn(|_| [].iter());
-        stack[0] = std::slice::from_ref(root).iter();
-        Leaves { stack, depth: 1 }
-    }
-}
-
-impl<'a, K: Ord + Clone, V> Iterator for Leaves<'a, K, V> {
-    type Item = &'a [(K, V)];
-
-    fn next(&mut self) -> Option<Self::Item> {
-        while self.depth > 0 {
-            match self.stack[self.depth - 1].next() {
-                None => self.depth -= 1,
-                // Only the root of an empty tree is an empty leaf.
-                Some(Node::Leaf(entries)) if !entries.is_empty() => {
-                    return Some(entries.as_slice())
-                }
-                Some(Node::Leaf(_)) => {}
-                Some(Node::Inner(inner)) => {
-                    self.stack[self.depth] = inner.children.iter();
-                    self.depth += 1;
-                }
+/// Hand `f`, in key order, every nonempty run of `node`'s subtree that
+/// lies past `after` (`None` = the whole subtree): one slice per leaf,
+/// until `f` breaks. Recursion depth is the subtree's height.
+pub(crate) fn visit_leaves<'a, K: Ord, V, B>(
+    node: &'a Node<K, V>,
+    after: Option<&K>,
+    f: &mut impl FnMut(&'a [(K, V)]) -> ControlFlow<B>,
+) -> ControlFlow<B> {
+    match node {
+        Node::Leaf(entries) => {
+            let from = after.map_or(0, |a| entries.partition_point(|(k, _)| k <= a));
+            // Only the root of an empty tree, or the last leaf of a search
+            // past the largest key, has nothing to hand out.
+            if from < entries.len() {
+                f(&entries[from..])
+            } else {
+                ControlFlow::Continue(())
             }
         }
-        None
+        Node::Inner(inner) => {
+            // `seps[i]` is the largest key under `children[i]`, so every
+            // child before the first separator past `after` holds nothing
+            // past it, and every child after that one holds only keys past
+            // it.
+            let first = after.map_or(0, |a| inner.seps.partition_point(|s| s <= a));
+            let mut after = after;
+            for child in &inner.children[first..] {
+                visit_leaves(child, after, f)?;
+                after = None;
+            }
+            ControlFlow::Continue(())
+        }
     }
 }
 
 /// Borrowing in-order iterator over `(key, value)` pairs.
 pub struct Iter<'a, K, V> {
-    leaves: Leaves<'a, K, V>,
+    root: &'a Node<K, V>,
     /// The rest of the current leaf.
     leaf: std::slice::Iter<'a, (K, V)>,
+    /// The current leaf's last key, where the search for the next leaf
+    /// starts; `None` before the first leaf.
+    last: Option<&'a K>,
 }
 
-impl<'a, K: Ord + Clone, V> Iter<'a, K, V> {
+impl<'a, K: Ord, V> Iter<'a, K, V> {
     pub(crate) fn new(root: &'a Node<K, V>) -> Self {
         Iter {
-            leaves: Leaves::new(root),
+            root,
             leaf: [].iter(),
+            last: None,
         }
     }
 }
 
-impl<'a, K: Ord + Clone, V> Iterator for Iter<'a, K, V> {
+impl<'a, K: Ord, V> Iterator for Iter<'a, K, V> {
     type Item = (&'a K, &'a V);
 
     fn next(&mut self) -> Option<Self::Item> {
@@ -84,13 +80,21 @@ impl<'a, K: Ord + Clone, V> Iterator for Iter<'a, K, V> {
             if let Some((k, v)) = self.leaf.next() {
                 return Some((k, v));
             }
-            self.leaf = self.leaves.next()?.iter();
+            let ControlFlow::Break(leaf) =
+                visit_leaves(self.root, self.last, &mut ControlFlow::Break)
+            else {
+                return None;
+            };
+            self.last = leaf.last().map(|(k, _)| k);
+            self.leaf = leaf.iter();
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::ops::ControlFlow;
+
     use crate::BPlusTree;
 
     #[test]
@@ -107,7 +111,12 @@ mod tests {
     fn empty_tree_yields_nothing() {
         let t: BPlusTree<u64, ()> = BPlusTree::new();
         assert_eq!(t.iter().count(), 0);
-        assert_eq!(t.leaves().count(), 0);
+        let mut leaves = 0;
+        let walk = t.for_each_leaf(|_| {
+            leaves += 1;
+            ControlFlow::<()>::Continue(())
+        });
+        assert_eq!((walk, leaves), (ControlFlow::Continue(()), 0));
     }
 
     #[test]

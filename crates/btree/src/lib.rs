@@ -12,12 +12,13 @@
 //! * **Leaf links.** TLX links leaf nodes so a scan can hop to the next leaf
 //!   in O(1). Safe Rust with `Box`-owned children cannot hold sibling
 //!   pointers without `unsafe` or `Rc<RefCell>`; instead,
-//!   [`BPlusTree::leaves`] walks an explicit stack, amortized O(1) per leaf,
-//!   and hands out each leaf as a slice (bulk extraction copies one slice
-//!   at a time); [`BPlusTree::iter`] flattens those slices — the same
-//!   asymptotics for every use the algorithms make of the links. The stack
-//!   is a fixed array inside the iterator, sized from the node invariants,
-//!   so neither walk allocates.
+//!   [`BPlusTree::for_each_leaf`] recurses down the tree, amortized O(1)
+//!   per leaf, and hands each leaf to a visitor as a slice that may stop
+//!   the walk (bulk extraction copies one slice at a time);
+//!   [`BPlusTree::iter`] finds each next leaf by a descent from the root
+//!   past the last key it returned, O(log n) per leaf, for successor
+//!   searches and tests. Neither walk keeps a cursor stack, so neither
+//!   allocates.
 //! * **Split via join.** `split_at_key`/`split_at_rank` cut the tree along a
 //!   root-to-leaf path and reassemble both sides with O(log n) `join`
 //!   operations, exactly the classic B-tree split; total cost O(log² n)
@@ -49,7 +50,7 @@ pub mod seqlock;
 mod stress;
 mod tree;
 
-pub use iter::{Iter, Leaves};
+pub use iter::Iter;
 pub use key::SampleKey;
 pub use seqlock::{SeqLock, WriteGuard};
 pub use tree::BPlusTree;

@@ -1,8 +1,9 @@
 //! The public B+ tree type and its algorithms.
 
 use std::mem;
+use std::ops::ControlFlow;
 
-use crate::iter::{Iter, Leaves};
+use crate::iter::{visit_leaves, Iter};
 use crate::node::{split_inner, split_leaf, Inner, Node, Spill};
 use crate::{DEFAULT_DEGREE, MIN_DEGREE};
 
@@ -361,11 +362,17 @@ impl<K: Ord + Clone, V> BPlusTree<K, V> {
         Iter::new(&self.root)
     }
 
-    /// In-order iterator over the nonempty leaves as key-sorted slices —
-    /// the bulk-copy walk: a caller extends from one slice per leaf
-    /// instead of stepping entry by entry.
-    pub fn leaves(&self) -> Leaves<'_, K, V> {
-        Leaves::new(&self.root)
+    /// Hand `f` the nonempty leaves in key order, each as a key-sorted
+    /// slice, until `f` breaks; returns the break, if any. This is the
+    /// bulk-copy walk: a caller extends from one slice per leaf instead of
+    /// stepping entry by entry, and stops at the first leaf it does not
+    /// take whole. The walk recurses on the call stack, so it never
+    /// allocates, and its cost is the leaves it visits.
+    pub fn for_each_leaf<'a, B>(
+        &'a self,
+        mut f: impl FnMut(&'a [(K, V)]) -> ControlFlow<B>,
+    ) -> ControlFlow<B> {
+        visit_leaves(&self.root, None, &mut f)
     }
 
     /// Verify every structural invariant; panics on violation. Test helper.

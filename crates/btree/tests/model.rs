@@ -5,6 +5,7 @@
 use proptest::prelude::*;
 use reservoir_btree::{BPlusTree, SampleKey};
 use std::collections::BTreeMap;
+use std::ops::ControlFlow;
 
 #[derive(Clone, Debug)]
 enum Op {
@@ -37,9 +38,34 @@ fn check_equal(tree: &BPlusTree<u64, u32>, model: &BTreeMap<u64, u32>) {
     assert_eq!(tree_pairs, model_pairs);
     // The leaf-slice walk is the same sequence, cut at leaf boundaries,
     // with no empty slices (an empty tree yields none at all).
-    let leaves: Vec<&[(u64, u32)]> = tree.leaves().collect();
+    let mut leaves: Vec<&[(u64, u32)]> = Vec::new();
+    let walk = tree.for_each_leaf(|leaf| {
+        leaves.push(leaf);
+        ControlFlow::<()>::Continue(())
+    });
+    assert_eq!(walk, ControlFlow::Continue(()));
     assert!(leaves.iter().all(|l| !l.is_empty()), "empty leaf slice");
     assert_eq!(leaves.concat(), tree_pairs);
+    // Stopped at the leaf holding the middle entry, the walk hands out
+    // exactly the leaves up to that one and returns the visitor's break.
+    if let Some(&(mid, _)) = tree_pairs.get(tree_pairs.len() / 2) {
+        let mut seen = 0;
+        let stop = tree.for_each_leaf(|leaf| {
+            assert_eq!(leaf, leaves[seen], "leaf {seen} of an early-stopped walk");
+            seen += 1;
+            if leaf.iter().any(|(k, _)| *k == mid) {
+                ControlFlow::Break(seen)
+            } else {
+                ControlFlow::Continue(())
+            }
+        });
+        let want = 1 + leaves
+            .iter()
+            .position(|l| l.iter().any(|(k, _)| *k == mid))
+            .expect("the middle key is in some leaf");
+        assert_eq!(stop, ControlFlow::Break(want));
+        assert_eq!(seen, want);
+    }
 }
 
 proptest! {

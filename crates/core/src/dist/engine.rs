@@ -56,6 +56,7 @@
 //! the simulated backend bills modeled time into the identical structure.
 
 use std::sync::mpsc::Receiver;
+use std::sync::Arc;
 use std::time::Instant;
 
 use reservoir_btree::SampleKey;
@@ -143,7 +144,9 @@ pub struct Finalized {
 /// [`GatherBackend`](crate::dist::gather::GatherBackend)) is one PE's
 /// endpoint over a [`Communicator`](reservoir_comm::Communicator) and
 /// *measures* wall-clock into the [`PhaseTimes`] slot the [`Charge`]
-/// names; the simulated backend
+/// names (a fleet shard's backend leaves its local phases to the
+/// fleet, which reads the clock once per phase loop); the simulated
+/// backend
 /// ([`SimBackend`](crate::dist::sim::SimBackend)) is the whole cluster's
 /// conductor and *charges* the α–β model instead. Either way, the engine
 /// calls the steps in the same order, so the protocol body exists once.
@@ -274,6 +277,11 @@ pub struct ReservoirProtocol<B: SamplerBackend> {
     /// publication itself only runs under [`ContinuousMode::EveryBatch`]
     /// plus once per `collect_output`.
     publisher: EpochPublisher,
+    /// The members of the latest collection's handle. The next
+    /// collection refills it in place once the caller has dropped every
+    /// handle on it, and otherwise leaves it to those handles and starts
+    /// a new one.
+    output: Arc<Vec<SampleItem>>,
 }
 
 impl<B: SamplerBackend> ReservoirProtocol<B> {
@@ -288,6 +296,7 @@ impl<B: SamplerBackend> ReservoirProtocol<B> {
             phases: PhaseTimes::default(),
             steps: 0,
             publisher,
+            output: Arc::default(),
         }
     }
 
@@ -510,6 +519,24 @@ impl<B: SamplerBackend> ReservoirProtocol<B> {
         items
     }
 
+    /// **extract** (local) for a collection: this endpoint's finalized
+    /// slice, key-sorted, into the engine-owned output buffer. The buffer
+    /// is refilled in place when no handle holds it (a steady collection
+    /// loop allocates nothing here); otherwise the handles keep it and a
+    /// new one is started.
+    pub(crate) fn extract_output(&mut self, fin: &Finalized, times: &mut PhaseTimes) {
+        if Arc::get_mut(&mut self.output).is_none() {
+            self.output = Arc::default();
+        }
+        let buf = Arc::get_mut(&mut self.output).expect("the engine holds the only reference");
+        // Clear before reserving, so the reservation never counts the
+        // last collection's members.
+        buf.clear();
+        buf.reserve(fin.keep as usize);
+        self.backend
+            .local_items_le(fin.threshold.as_ref(), buf, times);
+    }
+
     /// The full Section 5 output collection — **finalize → extract →
     /// place** — yielding this endpoint's root-free [`SampleHandle`].
     /// Collective; O(d · rounds + 1) words per endpoint at O(α log p)
@@ -519,23 +546,23 @@ impl<B: SamplerBackend> ReservoirProtocol<B> {
     pub fn collect_output(&mut self) -> (SampleHandle, PhaseTimes, u32) {
         let mut times = PhaseTimes::default();
         let fin = self.finalize(&mut times);
-        let items = self.extract(&fin, &mut times);
+        self.extract_output(&fin, &mut times);
         let placement = self.backend.place(fin.keep, &mut times);
-        self.output(items, placement, &fin, times)
+        self.output(placement, &fin, times)
     }
 
-    /// Build this endpoint's handle over its extracted, placed slice and
-    /// account for the collection (local).
+    /// Build this endpoint's handle over the slice
+    /// [`Self::extract_output`] left in the output buffer, placed at
+    /// `placement`, and account for the collection (local).
     pub(crate) fn output(
         &mut self,
-        items: Vec<SampleItem>,
         placement: Placement,
         fin: &Finalized,
         times: PhaseTimes,
     ) -> (SampleHandle, PhaseTimes, u32) {
-        debug_assert_eq!(items.len() as u64, fin.keep);
+        debug_assert_eq!(self.output.len() as u64, fin.keep);
         let handle = SampleHandle::from_parts(
-            items,
+            Arc::clone(&self.output),
             placement,
             self.backend.rank(),
             self.backend.size(),

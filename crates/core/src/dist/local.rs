@@ -57,6 +57,7 @@
 //! snapshot timing, of which worker ran which chunk and of the thread
 //! count — so a fixed seed gives one sample at every `threads_per_pe`.
 
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -521,7 +522,7 @@ fn grow_chunk(items: &[Item], uniform: bool, rng: &mut DefaultRng, sink: &mut im
 /// is kept whole on one comparison with its last key, which costs far less
 /// than a binary search per leaf.
 fn extend_le(tree: &BPlusTree<SampleKey, f64>, t: Option<&SampleKey>, buf: &mut Vec<SampleItem>) {
-    for leaf in tree.leaves() {
+    let _ = tree.for_each_leaf(|leaf| {
         let keep = match t {
             Some(t) if leaf.last().is_some_and(|(k, _)| k > t) => {
                 leaf.partition_point(|(k, _)| k <= t)
@@ -534,9 +535,11 @@ fn extend_le(tree: &BPlusTree<SampleKey, f64>, t: Option<&SampleKey>, buf: &mut 
                 .map(|(k, w)| SampleItem::from_entry(k, *w)),
         );
         if keep < leaf.len() {
-            break;
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(())
         }
-    }
+    });
 }
 
 #[cfg(test)]

@@ -28,6 +28,7 @@
 
 use std::io::{self, Write};
 use std::ops::Range;
+use std::sync::Arc;
 
 use reservoir_comm::{Collectives, Communicator};
 
@@ -42,14 +43,21 @@ type WireItem = (u64, f64, f64);
 /// [`DistributedSampler::collect_output`](crate::dist::threaded::DistributedSampler::collect_output)
 /// (and, for baseline comparisons,
 /// [`GatherSampler::collect_output`](crate::dist::gather::GatherSampler::collect_output)).
-/// The handle owns this PE's slice of the sample plus the global placement
+/// The handle holds this PE's slice of the sample plus the global placement
 /// metadata; all its inspection methods are local. [`Self::all_items`] and
 /// [`Self::gather_to`] are collective conveniences that *do* move the
 /// sample and are priced accordingly.
+///
+/// The slice lives in a buffer the sampler owns and shares with the
+/// handle and its clones; cloning a handle copies no members. The
+/// sampler refills that buffer at a later collection only once no handle
+/// holds it any more, so a handle never changes: one kept across later
+/// collections keeps its members, and those collections fill a new
+/// buffer instead.
 #[derive(Clone, Debug)]
 pub struct SampleHandle {
     /// This PE's sample members, sorted by key.
-    items: Vec<SampleItem>,
+    items: Arc<Vec<SampleItem>>,
     /// Global output position of `items[0]` (exclusive prefix count).
     offset: u64,
     /// Global sample size (sum of all PEs' slice lengths).
@@ -77,14 +85,20 @@ impl SampleHandle {
             offset: comm.exscan_sum_u64(local),
             total: comm.sum_u64(local),
         };
-        Self::from_parts(items, placement, comm.rank(), comm.size(), threshold)
+        Self::from_parts(
+            Arc::new(items),
+            placement,
+            comm.rank(),
+            comm.size(),
+            threshold,
+        )
     }
 
-    /// Build the handle from an already-agreed [`Placement`] — the
-    /// engine's place step ran the collectives (or charged them, on the
-    /// simulated backend).
+    /// Build the handle over `items` from an already-agreed
+    /// [`Placement`] — the engine's place step ran the collectives (or
+    /// charged them, on the simulated backend).
     pub(crate) fn from_parts(
-        items: Vec<SampleItem>,
+        items: Arc<Vec<SampleItem>>,
         placement: crate::dist::engine::Placement,
         pe: usize,
         pes: usize,

@@ -35,6 +35,14 @@
 //! only the batched collectives above in place of the engines'
 //! per-shard ones.
 //!
+//! **Accounting at the cost of the work.** The fleet reads the clock
+//! once around each of its local phase loops (scan, prune, extraction,
+//! continuous publication) and splits the time evenly over the shards
+//! that did that loop's work, as it does for each batched collective;
+//! its shards' backends do not time their own local phases. A clock
+//! read pair costs about as much as one small shard's extraction, so
+//! per-shard timing would bill the clock, not the shards.
+//!
 //! **The law is unchanged per shard.** Shard `s` draws its RNG streams
 //! through the same derivation a standalone
 //! [`DistributedSampler`](crate::dist::threaded::DistributedSampler)
@@ -130,11 +138,9 @@ pub struct ShardedBatchReport {
     pub shards_skipped: usize,
     /// Joint selection rounds the whole fleet paid (the **max** over
     /// the active shards' round counts — the amortization witness; a
-    /// per-shard schedule would have paid their **sum**).
+    /// per-shard schedule would have paid their **sum**, the
+    /// `select_rounds` of `per_shard` summed).
     pub joint_select_rounds: u32,
-    /// Per-shard selection rounds summed — what S independent samplers
-    /// would have paid (compare with `joint_select_rounds`).
-    pub solo_select_rounds: u64,
     /// Vectorized collective calls this superstep issued: 1 batched
     /// count + 2 per joint selection round + 1 batched placement per
     /// continuous publication (+ 2 per joint round of its finalize
@@ -156,9 +162,6 @@ pub struct ShardedPipelineReport {
     pub records: u64,
     /// Total joint selection rounds across the run.
     pub joint_select_rounds: u64,
-    /// Total per-shard selection rounds (what independent samplers
-    /// would have paid).
-    pub solo_select_rounds: u64,
     /// Total vectorized collective calls across the run.
     pub collective_calls: u64,
     /// One root-free output handle per shard, in shard order.
@@ -194,7 +197,7 @@ impl<'a, C: Communicator> ShardedSampler<'a, C> {
                     seed: shard_seed(cfg.seed, s),
                     ..cfg
                 };
-                let backend = CommBackend::with_pool(comm, &shard_cfg, pool.clone());
+                let backend = CommBackend::fleet_shard(comm, &shard_cfg, pool.clone());
                 ReservoirProtocol::new(backend, shard_cfg)
             })
             .collect();
@@ -226,6 +229,12 @@ impl<'a, C: Communicator> ShardedSampler<'a, C> {
     /// Shard `s`'s sample members on this PE.
     pub fn local_sample(&self, shard: usize) -> Vec<SampleItem> {
         self.engines[shard].backend().local_items()
+    }
+
+    /// Shard `s`'s accumulated seconds per phase on this PE: its share
+    /// of every phase loop and batched collective it took part in.
+    pub fn phase_totals(&self, shard: usize) -> PhaseTimes {
+        self.engines[shard].phase_totals()
     }
 
     /// A snapshot reader over shard `s`'s always-fresh epoch slot
@@ -366,7 +375,10 @@ impl<'a, C: Communicator> ShardedSampler<'a, C> {
 
         // Phase 1 — per-shard scans, local. Scanning an empty bucket only
         // advances the reservoir's batch counter, so an empty bucket takes
-        // that O(1) path instead of a scan call.
+        // that O(1) path instead of a scan call. Like every local phase
+        // loop below, the loop reads the clock once, and its time is
+        // split over the shards that did the work.
+        let t0 = Instant::now();
         let mut per_shard: Vec<BatchReport> = self
             .engines
             .iter_mut()
@@ -380,6 +392,7 @@ impl<'a, C: Communicator> ShardedSampler<'a, C> {
                 }
             })
             .collect();
+        let scan_s = t0.elapsed().as_secs_f64();
 
         // Phase 2 — ONE vectorized count across all shards. The same
         // launch also carries the per-shard bucket lengths (2S words, still
@@ -388,7 +401,8 @@ impl<'a, C: Communicator> ShardedSampler<'a, C> {
         let (sums, count_s) = self.count(buckets.iter().map(|b| b.len() as u64));
         let (unions, fleet_records) = sums.split_at(s_count);
 
-        // Phase 3 — ONE joint selection for every shard over its limit.
+        // Phase 3 — ONE joint selection for every shard over its limit,
+        // then each selected shard prunes to its new threshold.
         let tasks: Vec<_> = (0..s_count)
             .map(|s| {
                 self.engines[s]
@@ -398,6 +412,11 @@ impl<'a, C: Communicator> ShardedSampler<'a, C> {
             .collect();
         let sel = self.joint_select(&tasks, true);
         let mut collective_calls = 1 + 2 * sel.rounds;
+        let t0 = Instant::now();
+        for (s, report) in per_shard.iter_mut().enumerate() {
+            self.engines[s].adopt(unions[s], sel.results[s], report);
+        }
+        let prune_s = t0.elapsed().as_secs_f64();
 
         // A shard skips when its bucket is empty on every PE *and* its
         // (unchanged) union calls for no selection — deterministic from
@@ -409,26 +428,20 @@ impl<'a, C: Communicator> ShardedSampler<'a, C> {
             .map(|s| fleet_records[s] > 0 || tasks[s].is_some())
             .collect();
         let shards_skipped = stepped.iter().filter(|&&on| !on).count();
-        let count_share = count_s / (s_count - shards_skipped).max(1) as f64;
-        for (s, report) in per_shard.iter_mut().enumerate() {
-            if stepped[s] {
-                report.times.threshold += count_share;
-                if sel.results[s].is_some() {
-                    report.times.select += sel.share;
-                }
-            }
-            self.engines[s].adopt(unions[s], sel.results[s], report);
-        }
+        let stepped_count = (s_count - shards_skipped).max(1) as f64;
 
         // Phase 4 (continuous only) — every stepped shard publishes an
         // epoch over its post-step union: the batched finalize sequence,
-        // on checkpointed selection streams.
+        // on checkpointed selection streams, then one extract-and-publish
+        // loop.
+        let mut publish_share = 0.0;
         if self.engines[0].config().continuous == ContinuousMode::EveryBatch {
             let posts: Vec<Option<u64>> = (0..s_count)
                 .map(|s| stepped[s].then_some(per_shard[s].sample_size))
                 .collect();
             let (outs, calls) = self.finalize(&posts, false);
             collective_calls += calls;
+            let t0 = Instant::now();
             for (s, out) in outs.into_iter().enumerate() {
                 if let Some(out) = out {
                     let times = &mut per_shard[s].times;
@@ -437,15 +450,31 @@ impl<'a, C: Communicator> ShardedSampler<'a, C> {
                     self.engines[s].publish(items, out.placement, &out.fin);
                 }
             }
+            publish_share = t0.elapsed().as_secs_f64() / stepped_count;
         }
 
-        // Phase 5 — every stepped engine closes its step.
-        let mut solo_rounds = 0u64;
-        for (s, report) in per_shard.iter().enumerate() {
-            if stepped[s] {
-                self.engines[s].close_step(buckets[s].len() as u64, report);
-                solo_rounds += report.select_rounds as u64;
+        // Phase 5 — every stepped engine takes its shares of the count
+        // and of the phase loops it worked in, and closes its step.
+        let shards_selected = sel.results.iter().flatten().count();
+        let scanned = buckets.iter().filter(|b| !b.is_empty()).count();
+        let scan_share = scan_s / scanned.max(1) as f64;
+        let prune_share = prune_s / shards_selected.max(1) as f64;
+        let count_share = count_s / stepped_count;
+        for (s, report) in per_shard.iter_mut().enumerate() {
+            if !stepped[s] {
+                continue;
             }
+            let times = &mut report.times;
+            times.threshold += count_share;
+            times.output += publish_share;
+            if !buckets[s].is_empty() {
+                times.insert += scan_share;
+            }
+            if sel.results[s].is_some() {
+                times.select += sel.share;
+                times.threshold += prune_share;
+            }
+            self.engines[s].close_step(buckets[s].len() as u64, report);
         }
         SHARDED_BATCHES.inc();
         SHARDED_JOINT_ROUNDS.add(sel.rounds as u64);
@@ -453,35 +482,39 @@ impl<'a, C: Communicator> ShardedSampler<'a, C> {
         SHARDED_SPARSE_SKIPS.add(shards_skipped as u64);
         ShardedBatchReport {
             per_shard,
-            shards_selected: sel.results.iter().flatten().count(),
+            shards_selected,
             shards_skipped,
             joint_select_rounds: sel.rounds,
-            solo_select_rounds: solo_rounds,
             collective_calls,
         }
     }
 
     /// Section 5 output for the whole fleet (collective): ONE batched
     /// union count, ONE joint finalize selection over every shard still
-    /// above `k`, and ONE vectorized placement prefix sum; each engine
-    /// then builds its shard's handle.
+    /// above `k`, and ONE vectorized placement prefix sum; one loop then
+    /// extracts every shard's slice into its engine's output buffer, and
+    /// each engine builds its shard's handle.
     pub fn collect_output(&mut self) -> Vec<SampleHandle> {
+        let n = self.engines.len();
         let (unions, count_s) = self.count(std::iter::empty());
-        let count_share = count_s / self.engines.len() as f64;
         let unions: Vec<Option<u64>> = unions.into_iter().map(Some).collect();
         let (outs, _) = self.finalize(&unions, true);
-        self.engines
-            .iter_mut()
-            .zip(outs.into_iter().flatten())
-            .map(|(engine, out)| {
-                let mut times = PhaseTimes {
-                    output: count_share + out.output_s,
-                    ..PhaseTimes::default()
-                };
-                let items = engine.extract(&out.fin, &mut times);
-                engine.output(items, out.placement, &out.fin, times).0
-            })
-            .collect()
+        let t0 = Instant::now();
+        for (engine, out) in self.engines.iter_mut().zip(outs.iter().flatten()) {
+            engine.extract_output(&out.fin, &mut PhaseTimes::default());
+        }
+        let share = (count_s + t0.elapsed().as_secs_f64()) / n as f64;
+        // Sized up front, so the handles cost one allocation whatever the
+        // shard count.
+        let mut handles = Vec::with_capacity(n);
+        for (engine, out) in self.engines.iter_mut().zip(outs.into_iter().flatten()) {
+            let times = PhaseTimes {
+                output: share + out.output_s,
+                ..PhaseTimes::default()
+            };
+            handles.push(engine.output(out.placement, &out.fin, times).0);
+        }
+        handles
     }
 
     /// The sharded pipeline driver (collective): drain mini-batches
@@ -500,7 +533,7 @@ impl<'a, C: Communicator> ShardedSampler<'a, C> {
             "router and sampler disagree on the shard count"
         );
         let mut buckets: Vec<Vec<Item>> = vec![Vec::new(); self.engines.len()];
-        let (mut joint, mut solo, mut calls) = (0u64, 0u64, 0u64);
+        let (mut joint, mut calls) = (0u64, 0u64);
         let tally = drain(
             batches,
             self,
@@ -512,7 +545,6 @@ impl<'a, C: Communicator> ShardedSampler<'a, C> {
                 router.route_into(items.iter().copied(), &mut buckets);
                 let report = fleet.process_batch(&buckets);
                 joint += report.joint_select_rounds as u64;
-                solo += report.solo_select_rounds;
                 calls += report.collective_calls as u64;
             },
         );
@@ -522,7 +554,6 @@ impl<'a, C: Communicator> ShardedSampler<'a, C> {
             rounds: tally.rounds,
             records: tally.records,
             joint_select_rounds: joint,
-            solo_select_rounds: solo,
             collective_calls: calls,
             handles,
         }

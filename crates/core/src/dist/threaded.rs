@@ -5,8 +5,9 @@
 //! supplies the substrate — [`CommBackend`], which scans a real
 //! [`LocalReservoir`] and runs each engine step over the wire (`sum_u64`,
 //! one-task `select_threaded_many`, `exscan`), measuring wall-clock into
-//! the phase slot the engine names — and keeps `DistributedSampler` as
-//! the thin stable-API wrapper over `ReservoirProtocol<CommBackend>`.
+//! the phase slot the engine names (except a fleet shard's local phases,
+//! which the fleet times per phase loop) — and keeps `DistributedSampler`
+//! as the thin stable-API wrapper over `ReservoirProtocol<CommBackend>`.
 //!
 //! `process_batch` must be called collectively (same number of calls on
 //! every PE, empty slices allowed); all other methods are local except
@@ -41,6 +42,12 @@ fn stream_seq(cfg: &DistConfig) -> SeedSequence {
     SeedSequence::new(cfg.seed ^ (cfg.k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
+/// Seconds since a local phase's [`CommBackend::clock`] start; 0 when
+/// the phase was untimed.
+fn secs_since(t0: Option<Instant>) -> f64 {
+    t0.map_or(0.0, |t0| t0.elapsed().as_secs_f64())
+}
+
 /// One PE's endpoint of the engine over real collectives: a
 /// [`LocalReservoir`] fed by jump scans, distributed selection over the
 /// wire, wall-clock phase measurement.
@@ -48,6 +55,10 @@ pub struct CommBackend<'a, C: Communicator> {
     comm: &'a C,
     pub(crate) local: LocalReservoir,
     pub(crate) select_rng: DefaultRng,
+    /// Whether the local phases (scan, prune, extraction) read the clock
+    /// themselves. A fleet shard's do not: the fleet reads it once around
+    /// each phase loop over all its shards and bills each shard a share.
+    timed: bool,
 }
 
 impl<'a, C: Communicator> CommBackend<'a, C> {
@@ -57,18 +68,29 @@ impl<'a, C: Communicator> CommBackend<'a, C> {
     /// [`DistributedSampler`] has always used). The PE's scans run on a
     /// pool of `cfg.threads_per_pe` workers.
     pub fn new(comm: &'a C, cfg: &DistConfig) -> Self {
-        Self::with_pool(comm, cfg, Pool::new(cfg.threads_per_pe))
+        Self::build(comm, cfg, Pool::new(cfg.threads_per_pe), true)
     }
 
-    /// [`Self::new`] scanning on an existing `pool`: every shard of a
-    /// fleet scans on its PE's one crew.
-    pub(crate) fn with_pool(comm: &'a C, cfg: &DistConfig, pool: Pool) -> Self {
+    /// A fleet shard's backend: [`Self::new`] scanning on the PE's one
+    /// `pool`, with untimed local phases (the fleet times them per phase
+    /// loop).
+    pub(crate) fn fleet_shard(comm: &'a C, cfg: &DistConfig, pool: Pool) -> Self {
+        Self::build(comm, cfg, pool, false)
+    }
+
+    fn build(comm: &'a C, cfg: &DistConfig, pool: Pool, timed: bool) -> Self {
         let seq = stream_seq(cfg);
         CommBackend {
             local: LocalReservoir::for_pe(cfg.local_cap(), pool, &seq, comm.rank()),
             select_rng: seq.rng_for(comm.rank(), StreamKind::Selection),
             comm,
+            timed,
         }
+    }
+
+    /// Start timing a local phase, unless the fleet times it.
+    fn clock(&self) -> Option<Instant> {
+        self.timed.then(Instant::now)
     }
 
     /// The communicator this endpoint runs over.
@@ -97,9 +119,9 @@ impl<C: Communicator> SamplerBackend for CommBackend<'_, C> {
         threshold: Option<SampleKey>,
         times: &mut PhaseTimes,
     ) -> InsertOutcome {
-        let t0 = Instant::now();
+        let t0 = self.clock();
         let stats = self.local.process(mode, items, threshold.map(|k| k.key));
-        times.insert += t0.elapsed().as_secs_f64();
+        times.insert += secs_since(t0);
         times.par_scan += self.local.last_scope_max_busy_s();
         InsertOutcome { stats }
     }
@@ -133,9 +155,9 @@ impl<C: Communicator> SamplerBackend for CommBackend<'_, C> {
     }
 
     fn prune(&mut self, t: &SampleKey, times: &mut PhaseTimes, charge: Charge) {
-        let t0 = Instant::now();
+        let t0 = self.clock();
         self.local.prune_above(t);
-        *charge.slot(times) += t0.elapsed().as_secs_f64();
+        *charge.slot(times) += secs_since(t0);
     }
 
     fn place(&mut self, local: u64, times: &mut PhaseTimes) -> Placement {
@@ -156,9 +178,9 @@ impl<C: Communicator> SamplerBackend for CommBackend<'_, C> {
         buf: &mut Vec<SampleItem>,
         times: &mut PhaseTimes,
     ) {
-        let t0 = Instant::now();
+        let t0 = self.clock();
         self.local.items_le_into(t, buf);
-        times.output += t0.elapsed().as_secs_f64();
+        times.output += secs_since(t0);
     }
 
     fn rank(&self) -> usize {

@@ -26,7 +26,12 @@ fn fleet_steps_count_records_and_rounds_once() {
                     Item::new(id, 1.0 + (i % 5) as f64)
                 })
                 .collect();
-            rounds += fleet.process_batch(&router.route(batch)).solo_select_rounds;
+            let report = fleet.process_batch(&router.route(batch));
+            rounds += report
+                .per_shard
+                .iter()
+                .map(|r| u64::from(r.select_rounds))
+                .sum::<u64>();
         }
         fleet.collect_output();
         rounds

@@ -21,6 +21,7 @@ use reservoir::metrics::PhaseTimes;
 use reservoir::rng::test_base_seed;
 use reservoir::stream::ingest::{spawn_source, BatchPolicy, SyntheticRecords};
 use reservoir::stream::{route_by_id, Item, ShardRouter, StreamSpec, WeightGen};
+use reservoir::SampleHandle;
 
 /// This PE's slice of items 0..n (round-robin over `p`), split into
 /// `batches` mini-batches, with the suite's skewed weight profile.
@@ -329,11 +330,12 @@ fn batched_schedule_amortizes_rounds() {
         );
         if report.shards_selected > 1 {
             saw_multi_select = true;
+            let solo_rounds: u32 = report.per_shard.iter().map(|r| r.select_rounds).sum();
             assert!(
-                u64::from(report.joint_select_rounds) < report.solo_select_rounds,
+                report.joint_select_rounds < solo_rounds,
                 "joint rounds {} not amortized vs per-shard sum {} ({} shards selecting)",
                 report.joint_select_rounds,
-                report.solo_select_rounds,
+                solo_rounds,
                 report.shards_selected
             );
         }
@@ -342,6 +344,162 @@ fn batched_schedule_amortizes_rounds() {
         saw_multi_select,
         "workload never made several shards select at once; the test is vacuous"
     );
+}
+
+/// Every superstep bills each shard for the work it did: a shard that
+/// scanned a nonempty bucket has insert time, a selected shard has select
+/// and threshold time, and a shard the sparse path skipped has no time at
+/// all (with continuous publication, every stepped shard has output time
+/// too). A collection bills output time to every shard. The fleet reads
+/// the clock once per phase loop and splits it over those shards; a solo
+/// sampler still times its own scan.
+#[test]
+fn fleet_phase_times_bill_the_shards_that_did_the_work() {
+    let seed = test_base_seed() ^ 0x7153;
+    let (p, shards) = (2usize, 48usize);
+    for continuous in [ContinuousMode::Disabled, ContinuousMode::EveryBatch] {
+        run_threads(p, |comm| {
+            use reservoir::comm::Communicator;
+            let router = route_by_id(shards);
+            let cfg = DistConfig::weighted(6, seed).with_continuous(continuous);
+            let mut fleet = ShardedSampler::new(&comm, cfg, shards);
+            let mut solo = DistributedSampler::new(&comm, cfg);
+            let (mut skipped, mut selected) = (0, 0);
+            // Every PE routes the whole superstep, so it knows which
+            // buckets are empty fleet-wide, then steps its own share.
+            for (b, global) in batches_for(0, 1, 1_200, 12).into_iter().enumerate() {
+                let fleet_buckets = router.route(global);
+                let buckets: Vec<Vec<Item>> = fleet_buckets
+                    .iter()
+                    .map(|bucket| {
+                        let mine = |i: &&Item| i.id as usize % p == comm.rank();
+                        bucket.iter().filter(mine).copied().collect()
+                    })
+                    .collect();
+                let report = fleet.process_batch(&buckets);
+                let mut billed_select = 0;
+                for (s, rep) in report.per_shard.iter().enumerate() {
+                    let t = &rep.times;
+                    let at = format!("continuous={continuous:?} batch {b} shard {s}");
+                    if fleet_buckets[s].is_empty() {
+                        assert_eq!(*t, PhaseTimes::default(), "skipped, {at}");
+                        skipped += 1;
+                        continue;
+                    }
+                    assert_eq!(t.insert > 0.0, !buckets[s].is_empty(), "insert, {at}");
+                    assert!(t.threshold > 0.0, "count share, {at}");
+                    if t.select > 0.0 {
+                        billed_select += 1;
+                        assert!(t.threshold > 0.0, "selected shard's prune, {at}");
+                    }
+                    if continuous == ContinuousMode::EveryBatch {
+                        assert!(t.output > 0.0, "publication, {at}");
+                    } else {
+                        assert_eq!(t.output, 0.0, "no publication, {at}");
+                    }
+                }
+                assert_eq!(billed_select, report.shards_selected, "batch {b}");
+                selected += report.shards_selected;
+                let r = solo.process_batch(&buckets[0]);
+                if !buckets[0].is_empty() {
+                    assert!(r.times.insert > 0.0, "solo scan, batch {b}");
+                }
+            }
+            assert!(
+                skipped > 0 && selected > 0,
+                "skipped {skipped}, selected {selected}"
+            );
+            let before: Vec<f64> = (0..shards).map(|s| fleet.phase_totals(s).output).collect();
+            fleet.collect_output();
+            for (s, before) in before.iter().enumerate() {
+                assert!(
+                    fleet.phase_totals(s).output > *before,
+                    "collection, shard {s}"
+                );
+            }
+        });
+    }
+}
+
+/// A handle never changes once returned: the engine refills its output
+/// buffer in place only when no handle holds it. Handles (and clones)
+/// kept from one collection keep their members, offset, total and
+/// threshold across more streaming and a later collection, for a solo
+/// sampler and a fleet, with continuous publication on and off; and a
+/// collection into a refilled buffer equals the one before it.
+#[test]
+fn kept_handles_never_change() {
+    let seed = test_base_seed() ^ 0xA11A5;
+    let view = |h: &SampleHandle| {
+        (
+            h.local_items().to_vec(),
+            h.offset(),
+            h.total_len(),
+            h.threshold().map(f64::to_bits),
+        )
+    };
+    for continuous in [ContinuousMode::Disabled, ContinuousMode::EveryBatch] {
+        for p in [1usize, 3] {
+            run_threads(p, |comm| {
+                use reservoir::comm::Communicator;
+                let shards = 4;
+                let router = route_by_id(shards);
+                let cfg = DistConfig::weighted(20, seed).with_continuous(continuous);
+                let mut solo = DistributedSampler::new(&comm, cfg);
+                let mut fleet = ShardedSampler::new(&comm, cfg, shards);
+                let batches = batches_for(comm.rank(), p, 6_000, 6);
+                let (early, late) = batches.split_at(3);
+                for batch in early {
+                    solo.process_batch(batch);
+                    fleet.process_batch(&router.route(batch.clone()));
+                }
+                let kept = solo.collect_output();
+                let kept_clone = kept.clone();
+                let kept_fleet = fleet.collect_output();
+                let kept_fleet_clone = kept_fleet.clone();
+                let want = view(&kept);
+                let want_fleet: Vec<_> = kept_fleet.iter().map(view).collect();
+
+                for batch in late {
+                    solo.process_batch(batch);
+                    fleet.process_batch(&router.route(batch.clone()));
+                }
+                let next = solo.collect_output();
+                let next_fleet = fleet.collect_output();
+                let at = format!("continuous={continuous:?} p={p}");
+                assert_eq!(view(&kept), want, "kept handle, {at}");
+                assert_eq!(view(&kept_clone), want, "kept clone, {at}");
+                for s in 0..shards {
+                    assert_eq!(view(&kept_fleet[s]), want_fleet[s], "shard {s}, {at}");
+                    assert_eq!(view(&kept_fleet_clone[s]), want_fleet[s], "clone {s}, {at}");
+                }
+                // The later collection saw the later records.
+                assert_ne!(next.threshold(), kept.threshold(), "{at}");
+                assert!(
+                    (0..shards).all(|s| next_fleet[s].threshold() != kept_fleet[s].threshold()),
+                    "{at}"
+                );
+
+                // With every handle dropped, the next collections refill
+                // the same buffers, and nothing streamed in between.
+                let (again, again_fleet) =
+                    (view(&next), next_fleet.iter().map(view).collect::<Vec<_>>());
+                drop((
+                    kept,
+                    kept_clone,
+                    kept_fleet,
+                    kept_fleet_clone,
+                    next,
+                    next_fleet,
+                ));
+                for round in 0..2 {
+                    assert_eq!(view(&solo.collect_output()), again, "refill {round}, {at}");
+                    let refilled: Vec<_> = fleet.collect_output().iter().map(view).collect();
+                    assert_eq!(refilled, again_fleet, "fleet refill {round}, {at}");
+                }
+            });
+        }
+    }
 }
 
 /// Continuous mode: every shard publishes a verifiable epoch per
