@@ -35,24 +35,14 @@
 //! `(f64 key, u64 item id)` composite key used by all the samplers, with a
 //! total order (`f64::total_cmp`, then id) so keys are unique even in the
 //! measure-zero event of equal floating-point keys.
-//!
-//! Two lock-free building blocks for the snapshot service live here too:
-//! [`SeqLock`], the one-word sequence lock behind
-//! `reservoir_core::dist::snapshot::EpochPublisher`, and the [`sched`]
-//! hook points it fires, which [`sched::YieldInjector`] drives to force
-//! reader/writer races in the stress suites.
 
 mod iter;
 mod key;
 mod node;
-pub mod sched;
-pub mod seqlock;
-mod stress;
 mod tree;
 
 pub use iter::Iter;
 pub use key::SampleKey;
-pub use seqlock::{SeqLock, WriteGuard};
 pub use tree::BPlusTree;
 
 /// Default maximum node degree (max children of an inner node and max

@@ -8,41 +8,38 @@
 //! selection round (under [`ContinuousMode::EveryBatch`](crate::dist::ContinuousMode))
 //! the engine assembles a finalized-to-`k` view through the existing
 //! Section 5 finalize/place path and *publishes* it here as an immutable
-//! [`SampleEpoch`] behind a seqlock-guarded pointer swap.
+//! [`SampleEpoch`] by swapping one `Arc` pointer under a mutex.
 //!
-//! The concurrency scheme is a one-word sequence lock
-//! ([`reservoir_btree::SeqLock`]):
+//! The slot is a `Mutex<Arc<SampleEpoch>>` beside a publication counter:
 //!
 //! ```text
-//!   publisher                       readers (any thread, any number)
-//!   ─────────                       ────────────────────────────────
-//!   v = read_begin()                v = read_begin()      // even or spin
-//!   guard = try_lock(v)   // v+1    arc = cur.clone()     // Arc bump
-//!   cur = Arc::new(epoch)           validate(v)?          // still even,
-//!   drop(guard)           // v+2        unchanged ⇒ consistent
+//!   publisher                          readers (any thread, any number)
+//!   ─────────                          ────────────────────────────────
+//!   next = Arc::new(epoch)             lock
+//!   lock                               arc = cur.clone()     // Arc bump
+//!   old = replace(cur, next)           unlock
+//!   unlock; drop(old)
+//!   latest.store(n, Release)
 //! ```
 //!
-//! A reader that loses the race (version moved, or the writer held the
-//! slot past the bounded spin) simply retries; it never blocks the
-//! pipeline and never observes a half-swapped epoch, because the only
-//! mutation inside the critical section is replacing one `Arc` pointer.
-//! A publisher that panics mid-publish unwinds through the
-//! [`WriteGuard`](reservoir_btree::WriteGuard), releasing the version
-//! word, and the previous `Arc` stays installed — the last epoch remains
-//! readable forever. Every epoch carries a checksum over its entire
-//! payload so the stress suite can assert "no torn reads" as a checkable
-//! invariant rather than a belief. It runs four independent multiply
-//! chains, so stamping or verifying a k = 10⁴ epoch costs less than
-//! extracting that epoch's items from the tree.
+//! An epoch never changes once published, so a reader that cloned the
+//! pointer holds a whole epoch for as long as it keeps it, and the lock
+//! is held for one pointer clone or one pointer swap, never for an
+//! allocation or a free. Neither can panic, so a publisher that dies
+//! leaves the previous `Arc` installed and the last epoch readable
+//! forever. The counter is stored only after the unlock, so a read that
+//! starts after [`SnapshotReader::latest_epoch`] returned `n` returns an
+//! epoch of at least `n`.
 //!
-//! Because the seqlock fires the [`reservoir_btree::sched`] hooks, the
-//! seeded [`YieldInjector`](reservoir_btree::sched::YieldInjector) drives
-//! genuine reader/writer interleavings through publication.
+//! Every epoch carries a checksum over its entire payload, which the
+//! stress suite and the benchmark's reader recompute on every read. It
+//! runs four independent multiply chains, so stamping or verifying a
+//! k = 10⁴ epoch costs less than extracting that epoch's items from the
+//! tree.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
-use reservoir_btree::SeqLock;
 use reservoir_obs::{LazyCounter, LazyGauge};
 
 use crate::sample::SampleItem;
@@ -57,11 +54,6 @@ static SNAPSHOT_PUBLICATIONS: LazyCounter = LazyCounter::new(
 static SNAPSHOT_READS: LazyCounter = LazyCounter::new(
     "snapshot_reads_total",
     "consistent epoch reads served to snapshot readers",
-);
-/// Slow path only: a read that validated first try never touches this.
-static SNAPSHOT_READ_RETRIES: LazyCounter = LazyCounter::new(
-    "snapshot_read_retries_total",
-    "snapshot reads that retried against a mid-swap publisher",
 );
 static SNAPSHOT_READER_STALENESS: LazyGauge = LazyGauge::new(
     "snapshot_reader_staleness",
@@ -215,19 +207,16 @@ impl SampleEpoch {
     }
 
     /// Whether the stored checksum matches the payload — `false` means a
-    /// torn or corrupted view, which the seqlock protocol must make
-    /// unobservable.
+    /// torn or corrupted view. A published epoch never changes, so every
+    /// epoch a [`SnapshotReader`] returns must verify.
     pub fn verify(&self) -> bool {
         self.checksum == self.compute_checksum()
     }
 }
 
-/// The shared slot: one seqlock versioning one `Arc` pointer. The inner
-/// mutex only serializes the pointer clone/swap itself (a few
-/// nanoseconds); the seqlock provides the readers' consistency proof and
-/// the sched-hook instrumentation points.
+/// The shared slot: the current epoch's pointer, swapped and cloned
+/// under one mutex.
 struct Slot {
-    lock: SeqLock,
     cur: Mutex<Arc<SampleEpoch>>,
     /// Published-epoch counter, readable without touching the slot (the
     /// readers' staleness probe).
@@ -237,7 +226,6 @@ struct Slot {
 impl Slot {
     fn new(genesis: SampleEpoch) -> Self {
         Slot {
-            lock: SeqLock::new(),
             cur: Mutex::new(Arc::new(genesis)),
             latest: AtomicU64::new(0),
         }
@@ -245,9 +233,8 @@ impl Slot {
 }
 
 /// The write side, owned by the protocol endpoint: swaps in a fresh
-/// epoch per publication. Single-writer by construction (one publisher
-/// per endpoint), but safe regardless — the seqlock upgrade loop simply
-/// retries a lost race.
+/// epoch per publication. One publisher per endpoint; the slot's mutex
+/// orders each swap against every read.
 pub struct EpochPublisher {
     slot: Arc<Slot>,
     published: u64,
@@ -273,33 +260,22 @@ impl EpochPublisher {
         self.published
     }
 
-    /// Swap `epoch` in as the current view. Readers racing this swap
-    /// either validate against the old version (and see the old epoch,
-    /// at most one behind) or retry and see the new one; no interleaving
-    /// exposes a mix.
+    /// Swap `epoch` in as the current view. A read racing this swap gets
+    /// either the old epoch or the new one, never a mix. The epoch is
+    /// boxed before the lock and the replaced one freed after it, so the
+    /// critical section is one pointer swap.
     pub fn publish(&mut self, epoch: SampleEpoch) {
         debug_assert!(epoch.verify(), "publishing an inconsistent epoch");
         let next = Arc::new(epoch);
-        loop {
-            let Ok(v) = self.slot.lock.read_begin() else {
-                // A reader cannot hold the lock; only a racing publisher
-                // can, and it releases in bounded time.
-                std::hint::spin_loop();
-                continue;
-            };
-            let Some(guard) = self.slot.lock.try_lock(v) else {
-                std::hint::spin_loop();
-                continue;
-            };
-            // Poison-tolerant: a publisher that panicked *around* the
-            // mutex leaves the previous Arc intact and fully readable.
-            let mut cur = self.slot.cur.lock().unwrap_or_else(|e| e.into_inner());
-            *cur = next;
-            drop(cur);
-            drop(guard); // version += 2: readers revalidate
-            break;
-        }
+        // Poison-tolerant like `read`: neither critical section can
+        // panic, and a swap leaves the slot valid at every step anyway.
+        let mut cur = self.slot.cur.lock().unwrap_or_else(PoisonError::into_inner);
+        let old = std::mem::replace(&mut *cur, next);
+        drop(cur);
+        drop(old);
         self.published += 1;
+        // After the unlock: a reader that sees `published` here locks
+        // after this swap, so it reads this epoch or a later one.
         self.slot.latest.store(self.published, Ordering::Release);
         SNAPSHOT_PUBLICATIONS.inc();
     }
@@ -321,30 +297,18 @@ pub struct SnapshotReader {
 }
 
 impl SnapshotReader {
-    /// The current epoch. Lock-free in the optimistic sense: the reader
-    /// spins only while a publisher is mid-swap, then returns a shared
-    /// handle on the immutable epoch — no copy of the items.
+    /// The current epoch: a shared handle on the immutable epoch, no copy
+    /// of the items. Takes the slot's mutex for one `Arc` clone, so it
+    /// waits only while another thread holds the slot for its own clone
+    /// or swap.
     pub fn read(&self) -> Arc<SampleEpoch> {
-        loop {
-            let Ok(v) = self.slot.lock.read_begin() else {
-                SNAPSHOT_READ_RETRIES.inc();
-                std::hint::spin_loop();
-                continue;
-            };
-            let arc = Arc::clone(&self.slot.cur.lock().unwrap_or_else(|e| e.into_inner()));
-            if self.slot.lock.validate(v) {
-                if reservoir_obs::enabled() {
-                    SNAPSHOT_READS.inc();
-                    let latest = self.slot.latest.load(Ordering::Acquire);
-                    SNAPSHOT_READER_STALENESS.set(latest.saturating_sub(arc.epoch) as f64);
-                }
-                return arc;
-            }
-            // A publisher swapped underneath the clone; retry for a
-            // provably consistent view.
-            SNAPSHOT_READ_RETRIES.inc();
-            std::hint::spin_loop();
+        let arc = Arc::clone(&self.slot.cur.lock().unwrap_or_else(PoisonError::into_inner));
+        if reservoir_obs::enabled() {
+            SNAPSHOT_READS.inc();
+            let latest = self.slot.latest.load(Ordering::Acquire);
+            SNAPSHOT_READER_STALENESS.set(latest.saturating_sub(arc.epoch) as f64);
         }
+        arc
     }
 
     /// The number of the most recently published epoch, without reading
@@ -503,6 +467,56 @@ mod tests {
         // either, now that the value word defaults to 0 for `None`.
         let zero = SampleEpoch::new(7, items, 0, 4, 0, 1, Some(0.0), 1);
         assert_ne!(none.checksum, zero.checksum);
+    }
+
+    #[test]
+    fn a_held_epoch_outlives_later_publications() {
+        let mut p = EpochPublisher::new(0, 1);
+        let r = p.reader();
+        p.publish(epoch(1, 10));
+        let held = r.read();
+        let at_read = SampleEpoch::clone(&held);
+        for n in 2..=100u64 {
+            p.publish(epoch(n, n % 13));
+        }
+        assert_eq!(
+            *held, at_read,
+            "a held epoch changed under later publications"
+        );
+        assert!(held.verify());
+        assert_eq!(
+            Arc::strong_count(&held),
+            1,
+            "the slot must release an epoch it replaced"
+        );
+        assert_eq!(r.read().epoch, 100);
+    }
+
+    #[test]
+    fn latest_never_runs_ahead_of_the_slot() {
+        // A reader holds the slot while a publication is under way. Had
+        // the publisher advanced `latest` before its swap, a reader that
+        // saw the new number could lock first and read the old epoch.
+        let mut p = EpochPublisher::new(0, 1);
+        let r = p.reader();
+        let held = r.slot.cur.lock().unwrap();
+        let started = std::sync::Barrier::new(2);
+        let seen = std::thread::scope(|s| {
+            s.spawn(|| {
+                started.wait();
+                p.publish(epoch(1, 3));
+            });
+            started.wait();
+            // Nothing marks the publisher as blocked on the lock, so give
+            // it time to get there: a slow start can only let this test
+            // pass without checking, never fail it.
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            let seen = r.latest_epoch();
+            drop(held);
+            seen
+        });
+        assert_eq!(seen, 0, "latest advanced while the swap was blocked");
+        assert_eq!((r.latest_epoch(), r.read().epoch), (1, 1));
     }
 
     #[test]

@@ -17,10 +17,9 @@
 //!   publications, deadline flushes) that a crashed or wedged run can
 //!   dump for post-mortem;
 //! * exporters — Prometheus text format and JSON — behind a
-//!   [`MetricsReader`] that dashboard threads can poll mid-ingestion with
-//!   the same version-word discipline as `dist::snapshot::SnapshotReader`:
-//!   a brief directory refresh only when the registry version moved,
-//!   lock-free atomic loads in the steady state.
+//!   [`MetricsReader`] that dashboard threads can poll mid-ingestion:
+//!   a brief directory refresh only when the registry's version word
+//!   moved, lock-free atomic loads in the steady state.
 //!
 //! ## The enable gate
 //!

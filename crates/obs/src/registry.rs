@@ -6,9 +6,7 @@
 //! a mutex; *recording* is a relaxed atomic op on a handle, and *reading*
 //! in the steady state is lock-free: a [`MetricsReader`] caches the
 //! metric directory and only re-locks when the registry's version word
-//! moved — the same discipline `dist::snapshot::SnapshotReader` uses
-//! against `EpochPublisher`, with the version word standing in for the
-//! seqlock.
+//! moved.
 
 use crate::hist::{Histogram, HistogramSnapshot};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -7,11 +7,12 @@
 //! Under [`ContinuousMode::EveryBatch`] each selection round publishes
 //! an immutable [`SampleEpoch`](reservoir::dist::SampleEpoch) — the
 //! sample finalized to exactly `k` through the paper's Section 5
-//! finalize/place path — behind a seqlock-guarded pointer swap. A
-//! dashboard read is a couple of atomic loads plus an `Arc` clone: it
-//! never blocks a selection round, never sees a half-published view
-//! (every epoch carries a verifiable checksum), and is never staler
-//! than the one publication in flight.
+//! finalize/place path — by swapping one `Arc` pointer under a mutex. A
+//! dashboard read locks that mutex for one `Arc` clone: it waits only
+//! while another thread holds it for a clone or a swap, never for a
+//! selection round, never sees a half-published view (every epoch
+//! carries a verifiable checksum), and is never staler than the one
+//! publication in flight.
 //!
 //! The dashboard here estimates the fraction of "alarm" events (the
 //! heavy tail of the weight distribution) from each epoch it observes

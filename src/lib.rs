@@ -14,7 +14,7 @@
 //! | [`seq`] | `reservoir-core` | sequential samplers: exponential/geometric jumps + naive references |
 //! | [`dist`] | `reservoir-core` | Algorithm 1 and Section 5 output as **one engine** (`dist::engine::ReservoirProtocol` over the `SamplerBackend` trait) with three backends — threaded execution, the gather baseline policy, the cost-charging simulator — plus the variable-size variant and [`SampleHandle`] |
 //! | [`select`] | `reservoir-select` | distributed selection: single/multi-pivot, approximate (amsSelect), quickselect |
-//! | [`btree`] | `reservoir-btree` | augmented B+ tree: rank/select/split/join local reservoirs, allocation-free leaf walk; the snapshot seqlock and its stress hooks |
+//! | [`btree`] | `reservoir-btree` | augmented B+ tree: rank/select/split/join local reservoirs, allocation-free leaf walk |
 //! | [`comm`] | `reservoir-comm` | Communicator trait, threaded runtime, collectives, α–β cost model |
 //! | [`stream`] | `reservoir-stream` | mini-batch model, workload generators, push-based ingestion runtime (`stream::ingest`: record sources, batchers, backpressure) |
 //! | [`par`] | `reservoir-par` | a thread pool that runs one flat task list: the per-PE worker crew the chunked local scan runs on |
@@ -180,10 +180,10 @@
 //! With `.with_continuous(ContinuousMode::EveryBatch)` (or
 //! `RESERVOIR_CONTINUOUS=1`) every selection round publishes an
 //! immutable, checksummed [`dist::SampleEpoch`] — the sample finalized
-//! to exactly `k` through the Section 5 path — behind a seqlock-guarded
-//! pointer swap. A [`dist::SnapshotReader`] (cheap to clone, send it to
-//! any thread) reads a consistent epoch at any moment without pausing
-//! ingestion, and publication is observationally free: a fixed seed
+//! to exactly `k` through the Section 5 path — by swapping one `Arc`
+//! pointer under a mutex. A [`dist::SnapshotReader`] (cheap to clone,
+//! send it to any thread) reads a consistent epoch at any moment without
+//! pausing ingestion, and publication is observationally free: a fixed seed
 //! yields the byte-identical final sample whether continuous mode is on
 //! or off:
 //!
@@ -215,14 +215,15 @@
 //! Set `RESERVOIR_OBS=1` (or call [`obs::set_enabled`]) and every layer
 //! reports into one [`obs::Registry`] — collective launches and payload
 //! words (`comm_*`, and `sim_*` for the α–β model's predictions), scan
-//! chunks and insertions, snapshot seqlock contention, ingestion
+//! chunks and insertions, snapshot reads and reader staleness, ingestion
 //! backpressure, epoch publications — plus a bounded per-PE flight
 //! recorder of structured events ([`obs::TraceKind`]) for post-mortems.
 //! Disabled (the default) is observationally free: a fixed seed draws the
 //! byte-identical sample either way, and no collective is added. A
-//! dashboard thread polls an [`obs::MetricsReader`] mid-ingestion —
-//! seqlock-style version discipline, no pauses — and renders Prometheus
-//! text or JSON:
+//! dashboard thread polls an [`obs::MetricsReader`] mid-ingestion — it
+//! re-reads the metric directory only when the registry's version word
+//! moved, with no pause in ingestion — and renders Prometheus text or
+//! JSON:
 //!
 //! ```
 //! use reservoir::comm::run_threads;

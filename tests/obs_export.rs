@@ -11,8 +11,8 @@
 //!
 //! Only deterministic metrics are pinned: the snapshot is filtered to an
 //! explicit allowlist before rendering, excluding wall-clock gauges
-//! (`phase_*`, `sim_collective_seconds`) and contention tallies
-//! (seqlock retries) that legitimately vary run to run.
+//! (`phase_*`, `sim_collective_seconds`) and any tally that depends on
+//! thread scheduling, which legitimately vary run to run.
 //! The run pins `threads = 1` and disabled continuous publication
 //! explicitly, so the CI matrix's `RESERVOIR_THREADS`/`CONTINUOUS`
 //! environment cannot perturb the pinned counts.

@@ -2,8 +2,8 @@
 //! recorder fully armed, a fixed pipeline run must keep at least 0.9× of
 //! its disarmed throughput. This is the teeth behind the "near-zero cost"
 //! claim — the hot paths carry one relaxed load and a predictable branch
-//! (or nothing at all on the uncontended seqlock paths), so losing
-//! more than 10% means an instrumentation site leaked onto a hot path.
+//! (or nothing at all inside the scan kernels), so losing more than 10%
+//! means an instrumentation site leaked onto a hot path.
 //!
 //! `stats`-gated (run via `cargo test --release --features stats --
 //! stats_`): a throughput ratio needs a release build and a quiet-ish
