@@ -2,10 +2,10 @@
 //!
 //! The paper's machine model (Section 3) charges `α + βℓ` for a message of
 //! `ℓ` machine words — `α` is the startup latency, `β` the per-word cost —
-//! and all collectives run in O(βℓ + α log p). When the benchmark harness
-//! emulates more PEs than the laptop has cores, communication time is
-//! *charged* through this model instead of measured; the defaults are
-//! calibrated to the paper's InfiniBand 4X EDR interconnect.
+//! and all collectives run in O(βℓ + α log p). The cluster simulator
+//! (`dist::sim`) emulates more PEs than the machine has cores, so it
+//! *charges* communication time through this model instead of measuring
+//! it; the defaults follow the paper's InfiniBand 4X EDR interconnect.
 
 /// Simulated wall-clock time in seconds.
 #[derive(Clone, Copy, Debug, Default, PartialEq, PartialOrd)]

@@ -15,12 +15,12 @@
 //!   `std::sync::mpsc` channels as the interconnect, typed mailboxes with
 //!   tag matching, receives that poll briefly before they block, and a
 //!   poison packet from any PE that panics. Used by tests, examples and
-//!   the real-speedup benches.
+//!   the repository benchmark (`perfbench/`).
 //! * [`CommStats`] — per-endpoint message/word/round counters, so
 //!   experiments can report exact communication volumes.
 //! * [`CostModel`] — the α–β (latency/bandwidth) model used by the cluster
-//!   simulator to attribute time to communication when the benchmark
-//!   emulates thousands of PEs (substitution documented in `DESIGN.md`).
+//!   simulator to attribute time to communication when it emulates
+//!   thousands of PEs (substitution documented in `DESIGN.md`).
 
 mod collectives;
 mod cost;

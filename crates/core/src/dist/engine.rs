@@ -274,8 +274,8 @@ pub struct ReservoirProtocol<B: SamplerBackend> {
     steps: u64,
     /// The always-fresh read slot this endpoint publishes into. Always
     /// present (readers can be handed out before the first publication);
-    /// publication itself only runs under [`ContinuousMode::EveryBatch`]
-    /// plus once per `collect_output`.
+    /// publication itself only runs under [`ContinuousMode::EveryBatch`],
+    /// once per step and once per `collect_output`.
     publisher: EpochPublisher,
     /// The members of the latest collection's handle. The next
     /// collection refills it in place once the caller has dropped every
@@ -844,6 +844,29 @@ mod tests {
         assert_eq!(p.backend().local_len(), held, "snapshot must not prune");
         let t = handle.threshold().expect("finalized");
         assert!(handle.local_items().iter().all(|m| m.key <= t));
+    }
+
+    /// Only `EveryBatch` publishes: a `Disabled` endpoint's readers keep
+    /// the genesis epoch through steps and collections alike. The mode is
+    /// set explicitly, since the suite also runs under
+    /// `RESERVOIR_CONTINUOUS=1`.
+    #[test]
+    fn collect_output_publishes_only_under_every_batch() {
+        for (mode, epochs) in [
+            (ContinuousMode::Disabled, 0),
+            (ContinuousMode::EveryBatch, 3),
+        ] {
+            let cfg = DistConfig::weighted(10, 1).with_continuous(mode);
+            let mut p = ReservoirProtocol::new(LoneBackend::new(11), cfg);
+            let reader = p.snapshot_reader();
+            p.step(&items(50));
+            p.step(&items(50));
+            let (handle, _, _) = p.collect_output();
+            assert_eq!(handle.total_len(), 10);
+            let epoch = reader.read();
+            assert_eq!(epoch.epoch, epochs, "{mode:?}");
+            assert_eq!(epoch.local_len(), if epochs == 0 { 0 } else { 10 });
+        }
     }
 
     #[test]

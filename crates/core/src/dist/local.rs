@@ -18,7 +18,8 @@
 //!
 //! The weighted scan processes items in blocks of 32, summing whole blocks
 //! against the remaining skip before touching individual weights (the
-//! Section 5 implementation trick; `benches/micro.rs` measures the gain).
+//! Section 5 implementation trick; no benchmark in the tree isolates its
+//! gain).
 //!
 //! ## One scan at every width
 //!

@@ -87,8 +87,8 @@ pub enum MergeMode {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ContinuousMode {
     /// Classic semantics: the sample only materializes at
-    /// `collect_output`. Snapshot readers see the genesis (empty) epoch
-    /// until then, plus the final epoch once collected.
+    /// `collect_output`, as the returned handle. Nothing is published:
+    /// snapshot readers keep the genesis (empty) epoch throughout.
     #[default]
     Disabled,
     /// Publish a finalized-to-`k` epoch after every collective batch

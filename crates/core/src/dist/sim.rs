@@ -4,14 +4,15 @@
 //! [`SimBackend`] implements [`SamplerBackend`] as a whole-cluster
 //! conductor: the engine's step sequence (the *same* code the threaded
 //! backends execute) drives it, and each step **charges** time instead of
-//! measuring it — local work through a [`LocalCostModel`] (calibrated on
-//! the benchmark machine or analytic), communication through the α–β
-//! [`CostModel`] of `reservoir-comm` (the substitution documented in
-//! `DESIGN.md`). Because the costs are charged by the steps the real
-//! protocol actually executes, a protocol change made in the engine is
-//! automatically reflected in the simulated costs — there is no hand-ported
-//! statistical re-implementation to keep in sync, and window-mode
-//! finalization rounds fall out of the shared finalize step.
+//! measuring it — local work through the per-operation constants of
+//! [`AnalyticLocalCosts`] (a generic ~3 GHz core, not a measured fit of
+//! any machine), communication through the α–β [`CostModel`] of
+//! `reservoir-comm` (the substitution documented in `DESIGN.md`). Because
+//! the costs are charged by the steps the real protocol actually executes,
+//! a protocol change made in the engine is automatically reflected in the
+//! simulated costs — there is no hand-ported statistical re-implementation
+//! to keep in sync, and window-mode finalization rounds fall out of the
+//! shared finalize step.
 //!
 //! Why the statistical insertion is sound: with threshold `T`, a PE's
 //! batch contributes each item independently with probability
@@ -49,48 +50,16 @@ const FAITHFUL_GROWING_LIMIT: u64 = 4_000_000;
 /// Amdahl's-law speedup of the local scan at `threads` workers given the
 /// fraction `serial_frac` of the scan that stays sequential (the merge
 /// epilogue's bookkeeping, chunk dispatch, memory-bandwidth ceiling).
-pub fn amdahl_speedup(serial_frac: f64, threads: u64) -> f64 {
+fn amdahl_speedup(serial_frac: f64, threads: u64) -> f64 {
     let s = serial_frac.clamp(0.0, 1.0);
     let t = threads.max(1) as f64;
     1.0 / (s + (1.0 - s) / t)
 }
 
-/// Per-operation local-work costs (seconds) charged by the simulator.
-///
-/// Implemented by `reservoir-bench`'s measured calibration and by
-/// [`AnalyticLocalCosts`].
-pub trait LocalCostModel {
-    /// One weighted jump scan over `items` batch items.
-    fn scan_weighted(&self, items: u64) -> f64;
-
-    /// One uniform jump scan that performed `inserted` insertions (the
-    /// scan itself is O(inserted): geometric jumps skip for free).
-    fn scan_uniform(&self, inserted: u64) -> f64;
-
-    /// `count` B+ tree insertions into a tree of `tree_size` entries.
-    fn tree_inserts(&self, count: u64, tree_size: u64) -> f64;
-
-    /// Generating `count` candidate keys.
-    fn keygen(&self, count: u64) -> f64;
-
-    /// A sequential quickselect over `n` keys (gather baseline's root).
-    fn quickselect(&self, n: u64) -> f64;
-
-    /// One selection round's local work: pivot sampling plus rank queries
-    /// on a tree of `tree_size` entries with `pivots` pivots.
-    fn select_round_local(&self, tree_size: u64, pivots: u64) -> f64;
-
-    /// Modeled speedup of the scan + key-generation phase when a PE runs
-    /// its local scan on `threads` workers (`reservoir_par`); 1.0 at one
-    /// thread. The default charges Amdahl's law with a 5% serial
-    /// fraction; implementations with a calibrated fraction override it.
-    fn scan_speedup(&self, threads: u64) -> f64 {
-        amdahl_speedup(0.05, threads)
-    }
-}
-
-/// Analytic per-operation costs for a generic ~3 GHz core; useful when no
-/// calibration run is available (tests, quick sanity checks).
+/// Per-operation local-work costs (seconds) the simulator charges, for a
+/// generic ~3 GHz core. The constants are analytic, not fitted to a
+/// machine: the cost goldens and the Section 6 reproduction are priced
+/// with the defaults, so they read the same on every host.
 #[derive(Clone, Copy, Debug)]
 pub struct AnalyticLocalCosts {
     /// Seconds per scanned item (weighted scan).
@@ -103,8 +72,8 @@ pub struct AnalyticLocalCosts {
     pub quickselect_s: f64,
     /// Seconds per rank query per log₂(tree size).
     pub rank_s: f64,
-    /// Serial fraction of the parallel local scan (Amdahl's law input for
-    /// [`LocalCostModel::scan_speedup`]).
+    /// Serial fraction of the parallel local scan (the Amdahl's-law input
+    /// of the modeled scan speedup at `threads_per_pe` workers).
     pub par_serial_frac: f64,
 }
 
@@ -121,31 +90,42 @@ impl Default for AnalyticLocalCosts {
     }
 }
 
-impl LocalCostModel for AnalyticLocalCosts {
+impl AnalyticLocalCosts {
+    /// One weighted jump scan over `items` batch items.
     fn scan_weighted(&self, items: u64) -> f64 {
         items as f64 * self.scan_item_s
     }
 
+    /// One uniform jump scan that performed `inserted` insertions (the
+    /// scan itself is O(inserted): geometric jumps skip for free).
     fn scan_uniform(&self, inserted: u64) -> f64 {
         2.0e-8 + inserted as f64 * self.keygen_s
     }
 
+    /// `count` B+ tree insertions into a tree of `tree_size` entries.
     fn tree_inserts(&self, count: u64, tree_size: u64) -> f64 {
         count as f64 * self.insert_s * ((tree_size + 2) as f64).log2()
     }
 
+    /// Generating `count` candidate keys.
     fn keygen(&self, count: u64) -> f64 {
         count as f64 * self.keygen_s
     }
 
+    /// A sequential quickselect over `n` keys (gather baseline's root).
     fn quickselect(&self, n: u64) -> f64 {
         n as f64 * self.quickselect_s
     }
 
+    /// One selection round's local work: pivot sampling plus rank queries
+    /// on a tree of `tree_size` entries with `pivots` pivots.
     fn select_round_local(&self, tree_size: u64, pivots: u64) -> f64 {
         pivots.max(1) as f64 * self.rank_s * ((tree_size + 2) as f64).log2()
     }
 
+    /// Modeled speedup of the scan + key-generation phase when a PE runs
+    /// its local scan on `threads` workers (`reservoir_par`); 1.0 at one
+    /// thread.
     fn scan_speedup(&self, threads: u64) -> f64 {
         amdahl_speedup(self.par_serial_frac, threads)
     }
@@ -179,9 +159,9 @@ pub struct SimConfig {
     /// Master seed.
     pub seed: u64,
     /// Worker threads each simulated PE's local scan runs on: the scan +
-    /// key-generation charge is divided by
-    /// [`LocalCostModel::scan_speedup`], modeling multicore PEs running
-    /// the chunked local scan on their worker crews. The statistical
+    /// key-generation charge is divided by the Amdahl's-law speedup at
+    /// [`AnalyticLocalCosts::par_serial_frac`], modeling multicore PEs
+    /// running the chunked local scan on their worker crews. The statistical
     /// behaviour is unchanged (the real scan draws the same sample at
     /// every width).
     pub threads_per_pe: usize,
@@ -379,10 +359,10 @@ impl CandidateSet for SimPe {
 /// state plus cost accounting, conducted for all `p` PEs inside one
 /// process. Every [`SamplerBackend`] step charges exactly what the real
 /// protocol would pay for it.
-pub struct SimBackend<L: LocalCostModel> {
+pub struct SimBackend {
     cfg: SimConfig,
     net: CostModel,
-    costs: L,
+    costs: AnalyticLocalCosts,
     pes: Vec<SimPe>,
     work_rngs: Vec<DefaultRng>,
     select_rngs: Vec<DefaultRng>,
@@ -401,10 +381,10 @@ pub struct SimBackend<L: LocalCostModel> {
     last_select_payloads: Vec<u64>,
 }
 
-impl<L: LocalCostModel> SimBackend<L> {
+impl SimBackend {
     /// Build the conductor for `cfg`, charging communication to `net` and
     /// local work to `costs`.
-    pub fn new(cfg: SimConfig, net: CostModel, costs: L) -> Self {
+    pub fn new(cfg: SimConfig, net: CostModel, costs: AnalyticLocalCosts) -> Self {
         assert!(cfg.p >= 1 && cfg.k >= 1 && cfg.b_per_pe >= 1 && cfg.threads_per_pe >= 1);
         assert!(
             cfg.size_window.is_none() || matches!(cfg.algo, SimAlgo::Ours { .. }),
@@ -663,7 +643,7 @@ impl<L: LocalCostModel> SimBackend<L> {
     }
 }
 
-impl<L: LocalCostModel> SamplerBackend for SimBackend<L> {
+impl SamplerBackend for SimBackend {
     /// Statistical insertion for every simulated PE; `items` is ignored —
     /// the workload is the configured `b_per_pe` draw per PE.
     fn insert(
@@ -829,14 +809,14 @@ impl<L: LocalCostModel> SamplerBackend for SimBackend<L> {
 }
 
 /// The simulated cluster: the shared engine over a [`SimBackend`].
-pub struct SimCluster<L: LocalCostModel> {
-    engine: ReservoirProtocol<SimBackend<L>>,
+pub struct SimCluster {
+    engine: ReservoirProtocol<SimBackend>,
 }
 
-impl<L: LocalCostModel> SimCluster<L> {
+impl SimCluster {
     /// Build a cluster for `cfg`, charging communication to `net` and
     /// local work to `costs`.
-    pub fn new(cfg: SimConfig, net: CostModel, costs: L) -> Self {
+    pub fn new(cfg: SimConfig, net: CostModel, costs: AnalyticLocalCosts) -> Self {
         let ecfg = cfg.engine_config();
         SimCluster {
             engine: ReservoirProtocol::new(SimBackend::new(cfg, net, costs), ecfg),
@@ -936,7 +916,7 @@ impl<L: LocalCostModel> SimCluster<L> {
 
     /// The protocol engine underneath (the same type the real backends
     /// drive — the point of the exercise).
-    pub fn engine(&mut self) -> &mut ReservoirProtocol<SimBackend<L>> {
+    pub fn engine(&mut self) -> &mut ReservoirProtocol<SimBackend> {
         &mut self.engine
     }
 }
@@ -977,22 +957,19 @@ pub struct ShardedSimReport {
 /// backend's single vectorized count + joint selection schedule). The
 /// per-shard statistical behaviour is untouched; only the accounting of
 /// who pays α for which launch differs.
-pub struct SimShardedCluster<L: LocalCostModel> {
-    shards: Vec<SimCluster<L>>,
+pub struct SimShardedCluster {
+    shards: Vec<SimCluster>,
     net: CostModel,
     p: usize,
 }
 
-impl<L: LocalCostModel> SimShardedCluster<L> {
+impl SimShardedCluster {
     /// Build a fleet of `shards` clusters over `cfg` (its `seed` is
     /// re-derived per shard). Requires [`SimAlgo::Ours`] — the joint
     /// schedule batches the distributed selection protocol, which the
     /// gather funnel does not run — and no continuous publication (the
     /// threaded sharded backend batches epoch placement separately).
-    pub fn new(cfg: SimConfig, shards: usize, net: CostModel, costs: L) -> Self
-    where
-        L: Clone,
-    {
+    pub fn new(cfg: SimConfig, shards: usize, net: CostModel, costs: AnalyticLocalCosts) -> Self {
         assert!(shards >= 1, "at least one shard");
         assert!(
             matches!(cfg.algo, SimAlgo::Ours { .. }),
@@ -1008,7 +985,7 @@ impl<L: LocalCostModel> SimShardedCluster<L> {
                     seed: crate::dist::sharded::shard_seed(cfg.seed, s),
                     ..cfg
                 };
-                SimCluster::new(scfg, net, costs.clone())
+                SimCluster::new(scfg, net, costs)
             })
             .collect();
         SimShardedCluster {
@@ -1024,7 +1001,7 @@ impl<L: LocalCostModel> SimShardedCluster<L> {
     }
 
     /// One shard's cluster, for inspection (threshold, sample, ...).
-    pub fn shard(&mut self, s: usize) -> &mut SimCluster<L> {
+    pub fn shard(&mut self, s: usize) -> &mut SimCluster {
         &mut self.shards[s]
     }
 

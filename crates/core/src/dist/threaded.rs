@@ -292,9 +292,10 @@ impl<'a, C: Communicator> DistributedSampler<'a, C> {
     /// A read handle on this PE's always-fresh sample slot (see
     /// [`crate::dist::snapshot`]): clone it into any number of reader
     /// threads to query the live sample while ingestion runs. Fresh
-    /// epochs appear per batch under
-    /// [`ContinuousMode::EveryBatch`](crate::dist::ContinuousMode), plus
-    /// one final epoch at [`Self::collect_output`].
+    /// epochs appear only under
+    /// [`ContinuousMode::EveryBatch`](crate::dist::ContinuousMode): one per
+    /// batch and one per [`Self::collect_output`]. Under `Disabled` the
+    /// readers keep the empty genesis epoch.
     pub fn snapshot_reader(&self) -> crate::dist::snapshot::SnapshotReader {
         self.engine.snapshot_reader()
     }

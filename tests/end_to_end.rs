@@ -273,3 +273,55 @@ fn user_collectives_interleave_with_sampling() {
     assert_eq!(union, 50);
     assert!(results.windows(2).all(|w| w[0].1 == w[1].1));
 }
+
+/// Section 6.1: skewed weights (normal, with a mean that grows with the
+/// batch index and the PE rank) cost the sampler the same work as the
+/// paper's uniform weights. The paper compares running times; on a
+/// shared machine the wall-time ratio of this shape swung from 0.82 to
+/// 0.99 over three runs, so the test compares the work behind it instead:
+/// reservoir insertions per PE and selection rounds per batch, which
+/// measured 1.03 and 1.05 (skewed over uniform) at this fixed seed.
+#[test]
+fn skewed_weights_cost_the_same_work_as_uniform() {
+    let (p, b, k, batches) = (2, 50_000, 1_000, 8u64);
+    let work = |weights: WeightGen| -> (f64, f64) {
+        let spec = StreamSpec {
+            pes: p,
+            batch_size: b,
+            weights,
+            seed: 99,
+        };
+        let per_pe = run_threads(p, |comm| {
+            let mut sampler = DistributedSampler::new(&comm, DistConfig::weighted(k, 99));
+            let mut src = spec.source_for(comm.rank());
+            let mut buf = Vec::new();
+            let (mut inserted, mut rounds) = (0, 0);
+            // Batch 0 fills the reservoirs; the comparison starts after it.
+            for batch in 0..=batches {
+                src.next_batch_into(&mut buf);
+                let r = sampler.process_batch(&buf);
+                if batch > 0 {
+                    inserted += r.inserted;
+                    rounds += r.select_rounds as u64;
+                }
+            }
+            (inserted, rounds)
+        });
+        let per = (p as u64 * batches) as f64;
+        let inserted: u64 = per_pe.iter().map(|r| r.0).sum();
+        let rounds: u64 = per_pe.iter().map(|r| r.1).sum();
+        (inserted as f64 / per, rounds as f64 / per)
+    };
+    let (uniform_ins, uniform_rounds) = work(WeightGen::paper_uniform());
+    let (skewed_ins, skewed_rounds) = work(WeightGen::paper_skewed());
+    for (what, ratio) in [
+        ("insertions per batch per PE", skewed_ins / uniform_ins),
+        ("selection rounds per batch", skewed_rounds / uniform_rounds),
+    ] {
+        println!("skewed / uniform {what}: {ratio:.2}");
+        assert!(
+            (0.8..=1.25).contains(&ratio),
+            "{what}: skewed / uniform = {ratio:.2}, outside 0.8..=1.25"
+        );
+    }
+}

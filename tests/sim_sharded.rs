@@ -15,13 +15,13 @@
 //! UPDATE_SIM_GOLDEN=1 cargo test --test sim_sharded
 //! ```
 
-use std::fmt::Write as _;
-use std::fs;
-use std::path::PathBuf;
-
 use reservoir::comm::CostModel;
 use reservoir::dist::sim::{AnalyticLocalCosts, SimAlgo, SimConfig, SimShardedCluster};
 use reservoir::dist::{ContinuousMode, SamplingMode};
+
+#[path = "common/golden.rs"]
+mod golden;
+use golden::{Golden, Tol};
 
 /// PE counts and fleet sizes pinned by the snapshot. Each shard samples
 /// `k` from its own per-shard stream of `b_per_pe` items per PE per
@@ -39,7 +39,21 @@ const BATCHES: usize = 4;
 const REL_TOL: f64 = 0.35;
 /// The batched launch count is small (1 + max rounds per batch), so an
 /// absolute slack is fairer than a relative one.
-const BATCHED_TOL: i64 = 2 * BATCHES as i64;
+const BATCHED_TOL: f64 = 2.0 * BATCHES as f64;
+
+const GOLDEN: Golden = Golden {
+    file: "sim_sharded.tsv",
+    artifact: "sim-sharded",
+    regen: "UPDATE_SIM_GOLDEN=1 cargo test --test sim_sharded",
+    columns: &[
+        ("p", Tol::Key),
+        ("s", Tol::Key),
+        ("naive_coll", Tol::Rel(REL_TOL)),
+        ("batched_coll", Tol::Abs(BATCHED_TOL)),
+        ("naive_net_s", Tol::Rel(REL_TOL)),
+        ("batched_net_s", Tol::Rel(REL_TOL)),
+    ],
+};
 
 #[derive(Clone, Copy, Debug, PartialEq)]
 struct Row {
@@ -55,7 +69,18 @@ struct Row {
     batched_net_s: f64,
 }
 
-const COLUMNS: &str = "p\ts\tnaive_coll\tbatched_coll\tnaive_net_s\tbatched_net_s";
+impl Row {
+    fn cells(&self) -> Vec<String> {
+        vec![
+            self.p.to_string(),
+            self.s.to_string(),
+            self.naive_coll.to_string(),
+            self.batched_coll.to_string(),
+            format!("{:.6e}", self.naive_net_s),
+            format!("{:.6e}", self.batched_net_s),
+        ]
+    }
+}
 
 fn run_fleet(p: usize, shards: usize) -> Row {
     let cfg = SimConfig::new(
@@ -116,109 +141,18 @@ fn compute_table() -> Vec<Row> {
     rows
 }
 
-fn format_table(rows: &[Row]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "# SimShardedCluster schedule snapshot — seed {SNAPSHOT_SEED:#x}, {BATCHES} batches,\n\
-         # k = {K}, b_per_pe = {B_PER_PE}, 8 pivots, InfiniBand EDR α–β model.\n\
-         # Regenerate with UPDATE_SIM_GOLDEN=1 cargo test --test sim_sharded\n\
-         # {COLUMNS}"
-    );
-    for r in rows {
-        let _ = writeln!(
-            out,
-            "{}\t{}\t{}\t{}\t{:.6e}\t{:.6e}",
-            r.p, r.s, r.naive_coll, r.batched_coll, r.naive_net_s, r.batched_net_s,
-        );
-    }
-    out
-}
-
-fn parse_table(text: &str) -> Vec<Row> {
-    text.lines()
-        .filter(|l| !l.trim().is_empty() && !l.starts_with('#'))
-        .map(|l| {
-            let f: Vec<&str> = l.split('\t').collect();
-            assert_eq!(f.len(), 6, "malformed golden row: {l:?}");
-            Row {
-                p: f[0].parse().expect("p"),
-                s: f[1].parse().expect("s"),
-                naive_coll: f[2].parse().expect("naive_coll"),
-                batched_coll: f[3].parse().expect("batched_coll"),
-                naive_net_s: f[4].parse().expect("naive_net_s"),
-                batched_net_s: f[5].parse().expect("batched_net_s"),
-            }
-        })
-        .collect()
-}
-
-fn golden_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/sim_sharded.tsv")
-}
-
-fn rel_close(a: f64, b: f64) -> bool {
-    (a - b).abs() <= REL_TOL * a.abs().max(b.abs()) + 1e-12
-}
-
 #[test]
 fn sim_sharded_schedule_matches_golden_snapshot() {
-    let rows = compute_table();
-    let actual_text = format_table(&rows);
-    if std::env::var("UPDATE_SIM_GOLDEN").is_ok() {
-        fs::write(golden_path(), &actual_text).expect("write golden");
-        eprintln!(
-            "sharded sim golden snapshot rewritten at {:?}",
-            golden_path()
-        );
-        return;
-    }
-    let golden_text = fs::read_to_string(golden_path())
-        .expect("missing tests/golden/sim_sharded.tsv — run UPDATE_SIM_GOLDEN=1 once");
-    let golden = parse_table(&golden_text);
-    assert_eq!(
-        golden.len(),
-        rows.len(),
-        "snapshot grid changed; re-baseline"
+    let rows: Vec<Vec<String>> = compute_table().iter().map(Row::cells).collect();
+    GOLDEN.check(
+        &format!(
+            "SimShardedCluster schedule snapshot — seed {SNAPSHOT_SEED:#x}, {BATCHES} batches,\n\
+             k = {K}, b_per_pe = {B_PER_PE}, 8 pivots, InfiniBand EDR α–β model.\n\
+             Regenerate with {}",
+            GOLDEN.regen
+        ),
+        &rows,
     );
-
-    let mut diffs = String::new();
-    for (g, a) in golden.iter().zip(&rows) {
-        assert_eq!((g.p, g.s), (a.p, a.s), "grid order changed; re-baseline");
-        let mut cell = |name: &str, gv: f64, av: f64| {
-            if !rel_close(gv, av) {
-                let _ = writeln!(
-                    diffs,
-                    "p={} s={} {name}: golden {gv:.6e} vs actual {av:.6e} ({:+.1}%)",
-                    g.p,
-                    g.s,
-                    100.0 * (av - gv) / gv.abs().max(1e-300)
-                );
-            }
-        };
-        cell("naive_coll", g.naive_coll as f64, a.naive_coll as f64);
-        cell("naive_net_s", g.naive_net_s, a.naive_net_s);
-        cell("batched_net_s", g.batched_net_s, a.batched_net_s);
-        if (g.batched_coll as i64 - a.batched_coll as i64).abs() > BATCHED_TOL {
-            let _ = writeln!(
-                diffs,
-                "p={} s={} batched_coll: golden {} vs actual {}",
-                g.p, g.s, g.batched_coll, a.batched_coll
-            );
-        }
-    }
-    if !diffs.is_empty() {
-        let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("target/sim-sharded");
-        fs::create_dir_all(&dir).expect("create target/sim-sharded");
-        fs::write(dir.join("actual.tsv"), &actual_text).expect("write actual");
-        fs::write(dir.join("diff.txt"), &diffs).expect("write diff");
-        panic!(
-            "sharded sim schedule snapshot drifted (full table + diff written \
-             to target/sim-sharded/):\n{diffs}\n\
-             If the change is intentional, re-baseline with \
-             UPDATE_SIM_GOLDEN=1 cargo test --test sim_sharded"
-        );
-    }
 }
 
 /// The acceptance claim, asserted on the live computation (not the golden

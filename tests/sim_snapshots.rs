@@ -15,13 +15,13 @@
 //! The grid runs a fixed literal seed (not `RESERVOIR_TEST_SEED`): the
 //! snapshot pins one concrete trajectory, it is not a statistical test.
 
-use std::fmt::Write as _;
-use std::fs;
-use std::path::PathBuf;
-
 use reservoir::comm::CostModel;
 use reservoir::dist::sim::{AnalyticLocalCosts, OutputPath, SimAlgo, SimCluster, SimConfig};
 use reservoir::dist::{ContinuousMode, SamplingMode};
+
+#[path = "common/golden.rs"]
+mod golden;
+use golden::{Golden, Tol};
 
 /// PE counts (nodes × 20 as in the paper's grid), sample sizes, scan
 /// threads per PE, and variable-size-window factors pinned by the
@@ -44,7 +44,26 @@ const BATCHES: usize = 3;
 /// two, narrow enough that any real cost-model change trips it.
 const REL_TOL: f64 = 0.35;
 /// Selection rounds may drift by a couple across platforms.
-const ROUNDS_TOL: i64 = 4;
+const ROUNDS_TOL: f64 = 4.0;
+
+const GOLDEN: Golden = Golden {
+    file: "sim_costs.tsv",
+    artifact: "sim-snapshot",
+    regen: "UPDATE_SIM_GOLDEN=1 cargo test --test sim_snapshots",
+    columns: &[
+        ("p", Tol::Key),
+        ("k", Tol::Key),
+        ("t", Tol::Key),
+        ("w", Tol::Key),
+        ("ours_batch_s", Tol::Rel(REL_TOL)),
+        ("gather_batch_s", Tol::Rel(REL_TOL)),
+        ("dist_out_s", Tol::Rel(REL_TOL)),
+        ("dist_out_words", Tol::Rel(REL_TOL)),
+        ("dist_rounds", Tol::Abs(ROUNDS_TOL)),
+        ("gather_out_s", Tol::Rel(REL_TOL)),
+        ("gather_out_words", Tol::Rel(REL_TOL)),
+    ],
+};
 
 #[derive(Clone, Copy, Debug, PartialEq)]
 struct Row {
@@ -68,7 +87,44 @@ struct Row {
     gather_out_words: u64,
 }
 
-const COLUMNS: &str = "p\tk\tt\tw\tours_batch_s\tgather_batch_s\tdist_out_s\tdist_out_words\tdist_rounds\tgather_out_s\tgather_out_words";
+impl Row {
+    fn cells(&self) -> Vec<String> {
+        vec![
+            self.p.to_string(),
+            self.k.to_string(),
+            self.t.to_string(),
+            self.w.to_string(),
+            format!("{:.6e}", self.ours_batch_s),
+            format!("{:.6e}", self.gather_batch_s),
+            format!("{:.6e}", self.dist_out_s),
+            self.dist_out_words.to_string(),
+            self.dist_rounds.to_string(),
+            format!("{:.6e}", self.gather_out_s),
+            self.gather_out_words.to_string(),
+        ]
+    }
+
+    fn from_cells(f: &[String]) -> Row {
+        Row {
+            p: f[0].parse().expect("p"),
+            k: f[1].parse().expect("k"),
+            t: f[2].parse().expect("t"),
+            w: f[3].parse().expect("w"),
+            ours_batch_s: f[4].parse().expect("ours_batch_s"),
+            gather_batch_s: f[5].parse().expect("gather_batch_s"),
+            dist_out_s: f[6].parse().expect("dist_out_s"),
+            dist_out_words: f[7].parse().expect("dist_out_words"),
+            dist_rounds: f[8].parse().expect("dist_rounds"),
+            gather_out_s: f[9].parse().expect("gather_out_s"),
+            gather_out_words: f[10].parse().expect("gather_out_words"),
+        }
+    }
+}
+
+/// The committed table.
+fn golden_rows() -> Vec<Row> {
+    GOLDEN.read().iter().map(|f| Row::from_cells(f)).collect()
+}
 
 fn compute_table() -> Vec<Row> {
     let mut rows = Vec::new();
@@ -144,151 +200,25 @@ fn compute_table() -> Vec<Row> {
     rows
 }
 
-fn format_table(rows: &[Row]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "# SimCluster cost snapshot — seed {SNAPSHOT_SEED:#x}, {BATCHES} batches, b_per_pe = k,\n\
-         # InfiniBand EDR α–β model, AnalyticLocalCosts. Regenerate with\n\
-         # UPDATE_SIM_GOLDEN=1 cargo test --test sim_snapshots\n\
-         # {COLUMNS}"
-    );
-    for r in rows {
-        let _ = writeln!(
-            out,
-            "{}\t{}\t{}\t{}\t{:.6e}\t{:.6e}\t{:.6e}\t{}\t{}\t{:.6e}\t{}",
-            r.p,
-            r.k,
-            r.t,
-            r.w,
-            r.ours_batch_s,
-            r.gather_batch_s,
-            r.dist_out_s,
-            r.dist_out_words,
-            r.dist_rounds,
-            r.gather_out_s,
-            r.gather_out_words,
-        );
-    }
-    out
-}
-
-fn parse_table(text: &str) -> Vec<Row> {
-    text.lines()
-        .filter(|l| !l.trim().is_empty() && !l.starts_with('#'))
-        .map(|l| {
-            let f: Vec<&str> = l.split('\t').collect();
-            assert_eq!(f.len(), 11, "malformed golden row: {l:?}");
-            Row {
-                p: f[0].parse().expect("p"),
-                k: f[1].parse().expect("k"),
-                t: f[2].parse().expect("t"),
-                w: f[3].parse().expect("w"),
-                ours_batch_s: f[4].parse().expect("ours_batch_s"),
-                gather_batch_s: f[5].parse().expect("gather_batch_s"),
-                dist_out_s: f[6].parse().expect("dist_out_s"),
-                dist_out_words: f[7].parse().expect("dist_out_words"),
-                dist_rounds: f[8].parse().expect("dist_rounds"),
-                gather_out_s: f[9].parse().expect("gather_out_s"),
-                gather_out_words: f[10].parse().expect("gather_out_words"),
-            }
-        })
-        .collect()
-}
-
-fn golden_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/sim_costs.tsv")
-}
-
-fn rel_close(a: f64, b: f64) -> bool {
-    (a - b).abs() <= REL_TOL * a.abs().max(b.abs()) + 1e-12
-}
-
 #[test]
 fn sim_cost_tables_match_golden_snapshot() {
-    let rows = compute_table();
-    let actual_text = format_table(&rows);
-    if std::env::var("UPDATE_SIM_GOLDEN").is_ok() {
-        fs::write(golden_path(), &actual_text).expect("write golden");
-        eprintln!("sim golden snapshot rewritten at {:?}", golden_path());
-        return;
-    }
-    let golden_text = fs::read_to_string(golden_path())
-        .expect("missing tests/golden/sim_costs.tsv — run UPDATE_SIM_GOLDEN=1 once");
-    let golden = parse_table(&golden_text);
-    assert_eq!(
-        golden.len(),
-        rows.len(),
-        "snapshot grid changed; re-baseline"
+    let rows: Vec<Vec<String>> = compute_table().iter().map(Row::cells).collect();
+    GOLDEN.check(
+        &format!(
+            "SimCluster cost snapshot — seed {SNAPSHOT_SEED:#x}, {BATCHES} batches, b_per_pe = k,\n\
+             InfiniBand EDR α–β model, AnalyticLocalCosts. Regenerate with\n{}",
+            GOLDEN.regen
+        ),
+        &rows,
     );
-
-    let mut diffs = String::new();
-    for (g, a) in golden.iter().zip(&rows) {
-        assert_eq!(
-            (g.p, g.k, g.t, g.w),
-            (a.p, a.k, a.t, a.w),
-            "grid order changed; re-baseline"
-        );
-        let mut cell = |name: &str, gv: f64, av: f64| {
-            if !rel_close(gv, av) {
-                let _ = writeln!(
-                    diffs,
-                    "p={} k={} t={} w={} {name}: golden {gv:.6e} vs actual {av:.6e} ({:+.1}%)",
-                    g.p,
-                    g.k,
-                    g.t,
-                    g.w,
-                    100.0 * (av - gv) / gv.abs().max(1e-300)
-                );
-            }
-        };
-        cell("ours_batch_s", g.ours_batch_s, a.ours_batch_s);
-        cell("gather_batch_s", g.gather_batch_s, a.gather_batch_s);
-        cell("dist_out_s", g.dist_out_s, a.dist_out_s);
-        cell("gather_out_s", g.gather_out_s, a.gather_out_s);
-        cell(
-            "dist_out_words",
-            g.dist_out_words as f64,
-            a.dist_out_words as f64,
-        );
-        cell(
-            "gather_out_words",
-            g.gather_out_words as f64,
-            a.gather_out_words as f64,
-        );
-        if (g.dist_rounds as i64 - a.dist_rounds as i64).abs() > ROUNDS_TOL {
-            let _ = writeln!(
-                diffs,
-                "p={} k={} t={} w={} dist_rounds: golden {} vs actual {}",
-                g.p, g.k, g.t, g.w, g.dist_rounds, a.dist_rounds
-            );
-        }
-    }
-    if !diffs.is_empty() {
-        let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("target/sim-snapshot");
-        fs::create_dir_all(&dir).expect("create target/sim-snapshot");
-        fs::write(dir.join("actual.tsv"), &actual_text).expect("write actual");
-        fs::write(dir.join("diff.txt"), &diffs).expect("write diff");
-        panic!(
-            "sim cost snapshot drifted (full table + diff written to \
-             target/sim-snapshot/):\n{diffs}\n\
-             If the change is intentional, re-baseline with \
-             UPDATE_SIM_GOLDEN=1 cargo test --test sim_snapshots"
-        );
-    }
 }
 
-/// The acceptance-criterion crossover, read off the pinned table (which
-/// the companion test keeps equal to the live computation): the Section 5
-/// distributed output beats the root funnel — in bottleneck words
-/// everywhere the sample is non-trivial, and in modeled time on large
-/// machines.
 /// Multicore PEs (t = 4) must batch at least as fast as single-threaded
 /// ones in the modeled grid — the thread dimension only divides the
 /// scan + keygen charge, everything else is equal.
 #[test]
 fn sim_multicore_rows_are_no_slower() {
-    let rows = parse_table(&fs::read_to_string(golden_path()).expect("golden table present"));
+    let rows = golden_rows();
     // Rows per (p, k): t × w, with w innermost — pair equal-w rows across
     // the two thread counts.
     for block in rows.chunks(T_GRID.len() * W_GRID.len()) {
@@ -309,9 +239,14 @@ fn sim_multicore_rows_are_no_slower() {
     }
 }
 
+/// The acceptance-criterion crossover, read off the pinned table (which
+/// the companion test keeps equal to the live computation): the Section 5
+/// distributed output beats the root funnel — in bottleneck words
+/// everywhere the sample is non-trivial, and in modeled time on large
+/// machines.
 #[test]
 fn sim_distributed_output_beats_gather_for_large_p() {
-    let rows = parse_table(&fs::read_to_string(golden_path()).expect("golden table present"));
+    let rows = golden_rows();
     assert_eq!(
         rows.len(),
         P_GRID.len() * K_GRID.len() * T_GRID.len() * W_GRID.len()
@@ -353,7 +288,7 @@ fn sim_distributed_output_beats_gather_for_large_p() {
 /// charged through the engine's shared finalize step.
 #[test]
 fn sim_window_rows_pay_finalization_rounds() {
-    let rows = parse_table(&fs::read_to_string(golden_path()).expect("golden table present"));
+    let rows = golden_rows();
     for block in rows.chunks(W_GRID.len()) {
         let (exact, window) = (&block[0], &block[1]);
         assert_eq!((exact.w, window.w), (1, 2), "w must be the innermost dim");
