@@ -847,9 +847,7 @@ mod tests {
     }
 
     /// Only `EveryBatch` publishes: a `Disabled` endpoint's readers keep
-    /// the genesis epoch through steps and collections alike. The mode is
-    /// set explicitly, since the suite also runs under
-    /// `RESERVOIR_CONTINUOUS=1`.
+    /// the genesis epoch through steps and collections alike.
     #[test]
     fn collect_output_publishes_only_under_every_batch() {
         for (mode, epochs) in [

@@ -59,18 +59,6 @@ pub enum SamplingMode {
     Uniform,
 }
 
-/// Parse a `RESERVOIR_THREADS` value: a positive integer, surrounding
-/// whitespace tolerated.
-fn parse_threads(v: &str) -> Result<usize, String> {
-    match v.trim().parse::<usize>() {
-        Ok(t) if t >= 1 => Ok(t),
-        _ => Err(format!(
-            "RESERVOIR_THREADS accepts a positive integer (worker threads \
-             per PE), got {v:?}"
-        )),
-    }
-}
-
 /// Retired and inert; the frozen benchmark harness is its only user
 /// (`tests/engine_equivalence.rs` checks that its pin changes no sample).
 #[doc(hidden)]
@@ -98,60 +86,6 @@ pub enum ContinuousMode {
     EveryBatch,
 }
 
-/// Parse a `RESERVOIR_CONTINUOUS` value: `0` | `off` | `disabled` for
-/// [`ContinuousMode::Disabled`], `1` | `on` | `every-batch` | `everybatch`
-/// for [`ContinuousMode::EveryBatch`]; case-insensitive, surrounding
-/// whitespace tolerated.
-fn parse_continuous(v: &str) -> Result<ContinuousMode, String> {
-    match v.trim().to_ascii_lowercase().as_str() {
-        "0" | "off" | "disabled" => Ok(ContinuousMode::Disabled),
-        "1" | "on" | "every-batch" | "everybatch" => Ok(ContinuousMode::EveryBatch),
-        _ => Err(format!(
-            "RESERVOIR_CONTINUOUS accepts 0/off/disabled or \
-             1/on/every-batch, got {v:?}"
-        )),
-    }
-}
-
-/// Read every sampler environment default in one validated pass:
-/// `RESERVOIR_THREADS` (the CI matrix sets 4 to run the suite's scans on
-/// per-PE worker crews), `RESERVOIR_CONTINUOUS` (the snapshot-stress job
-/// sets 1), and `RESERVOIR_OBS` (arms the `reservoir_obs` metrics registry
-/// and flight recorder; the CI obs job sets 1). All malformed variables
-/// are reported in a single panic message — a user with two typos fixes
-/// both on the first round trip — and validation happens once, at config
-/// construction, not on some later batch. Both `DistConfig` and
-/// `sim::SimConfig` take their defaults from here.
-fn env_defaults() -> (usize, ContinuousMode) {
-    let mut errors = Vec::new();
-    // First touch wins for the gate itself (a programmatic
-    // `reservoir_obs::set_enabled` is never overridden), but a malformed
-    // value still joins the aggregate report here.
-    if let Err(e) = reservoir_obs::init_env() {
-        errors.push(e);
-    }
-    let threads = match std::env::var("RESERVOIR_THREADS") {
-        Ok(v) => parse_threads(&v).unwrap_or_else(|e| {
-            errors.push(e);
-            1
-        }),
-        Err(_) => 1,
-    };
-    let continuous = match std::env::var("RESERVOIR_CONTINUOUS") {
-        Ok(v) => parse_continuous(&v).unwrap_or_else(|e| {
-            errors.push(e);
-            ContinuousMode::Disabled
-        }),
-        Err(_) => ContinuousMode::Disabled,
-    };
-    assert!(
-        errors.is_empty(),
-        "invalid sampler environment: {}",
-        errors.join("; ")
-    );
-    (threads, continuous)
-}
-
 /// Configuration shared by the distributed samplers.
 #[derive(Clone, Copy, Debug)]
 pub struct DistConfig {
@@ -173,16 +107,14 @@ pub struct DistConfig {
     /// scanned chunk-parallel on the crew; at 1 (or for a one-chunk batch)
     /// the same chunk kernels run inline on the calling thread. Chunks,
     /// not workers, carry the RNG streams, so a fixed seed gives the same
-    /// sample at every value. Constructors default this to the
-    /// `RESERVOIR_THREADS` environment variable, falling back to 1.
+    /// sample at every value. Constructors default this to 1.
     pub threads_per_pe: usize,
     /// Retired and inert; the frozen benchmark harness is its only user.
     #[doc(hidden)]
     pub persistent_pool: bool,
     /// Whether the engine publishes an always-fresh sample epoch per
     /// batch step for concurrent snapshot readers. Constructors default
-    /// this to the `RESERVOIR_CONTINUOUS` environment variable, falling
-    /// back to [`ContinuousMode::Disabled`]. The fixed-seed final sample
+    /// this to [`ContinuousMode::Disabled`]. The fixed-seed final sample
     /// is identical in both modes.
     pub continuous: ContinuousMode,
     /// Retired and inert; the frozen benchmark harness is its only user.
@@ -194,31 +126,19 @@ pub struct DistConfig {
 }
 
 impl DistConfig {
-    /// Weighted sampling with sample size `k`.
+    /// Weighted sampling with sample size `k`: one pivot per round, exact
+    /// size, one scan thread per PE and no continuous publication.
     pub fn weighted(k: usize, seed: u64) -> Self {
         assert!(k >= 1, "sample size must be at least 1");
-        let (threads_per_pe, continuous) = env_defaults();
-        Self::base(k, seed, threads_per_pe, continuous)
-    }
-
-    /// Weighted sampling of size `k` on `threads_per_pe` scan workers with
-    /// every other knob at its default; reads no environment (the
-    /// simulator derives its engine configuration through this).
-    pub(crate) fn base(
-        k: usize,
-        seed: u64,
-        threads_per_pe: usize,
-        continuous: ContinuousMode,
-    ) -> Self {
         DistConfig {
             k,
             seed,
             mode: SamplingMode::Weighted,
             pivots: 1,
             size_window: None,
-            threads_per_pe,
+            threads_per_pe: 1,
             persistent_pool: false,
-            continuous,
+            continuous: ContinuousMode::Disabled,
             merge: Default::default(),
             leaf_affinity: true,
         }
@@ -239,8 +159,8 @@ impl DistConfig {
         self
     }
 
-    /// Run every PE's local scan on `t` worker threads (overrides the
-    /// `RESERVOIR_THREADS` default). `1` scans on the calling thread only.
+    /// Run every PE's local scan on `t` worker threads. `1`, the
+    /// default, scans on the calling thread only.
     pub fn with_threads(mut self, t: usize) -> Self {
         assert!(t >= 1, "at least one scan thread per PE");
         self.threads_per_pe = t;
@@ -263,7 +183,7 @@ impl DistConfig {
     }
 
     /// Publish always-fresh sample epochs per the given
-    /// [`ContinuousMode`] (overrides the `RESERVOIR_CONTINUOUS` default).
+    /// [`ContinuousMode`] (default [`ContinuousMode::Disabled`]).
     pub fn with_continuous(mut self, continuous: ContinuousMode) -> Self {
         self.continuous = continuous;
         self
@@ -387,7 +307,8 @@ mod tests {
         assert_eq!(w.pivots, 1);
         assert_eq!(w.local_cap(), 10);
         assert_eq!(w.size_limit(), 10);
-        assert!(w.threads_per_pe >= 1, "env default must be positive");
+        assert_eq!(w.threads_per_pe, 1);
+        assert_eq!(w.continuous, ContinuousMode::Disabled);
         let u = DistConfig::uniform(10, 1).with_pivots(8);
         assert_eq!(u.mode, SamplingMode::Uniform);
         assert_eq!(u.pivots, 8);
@@ -420,55 +341,5 @@ mod tests {
     #[should_panic(expected = "invalid size window")]
     fn inverted_window_rejected() {
         let _ = DistConfig::weighted(10, 1).with_size_window(20, 10);
-    }
-
-    // The environment parsers are pure functions, tested without touching
-    // the process environment (the suite runs tests concurrently).
-
-    #[test]
-    fn parse_threads_accepts_positive_integers_and_whitespace() {
-        assert_eq!(parse_threads("1"), Ok(1));
-        assert_eq!(parse_threads(" 8 "), Ok(8));
-        assert_eq!(parse_threads("\t16\n"), Ok(16));
-    }
-
-    #[test]
-    fn parse_threads_rejects_junk_with_a_named_error() {
-        for bad in ["", "   ", "0", "-2", "four", "4.0"] {
-            let e = parse_threads(bad).unwrap_err();
-            assert!(
-                e.contains("RESERVOIR_THREADS") && e.contains("positive integer"),
-                "error for {bad:?} must name the variable and the accepted \
-                 form, got {e:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn parse_continuous_accepts_every_alias() {
-        for (v, want) in [
-            ("0", ContinuousMode::Disabled),
-            ("off", ContinuousMode::Disabled),
-            ("Disabled", ContinuousMode::Disabled),
-            ("1", ContinuousMode::EveryBatch),
-            ("ON", ContinuousMode::EveryBatch),
-            (" every-batch ", ContinuousMode::EveryBatch),
-            ("EveryBatch", ContinuousMode::EveryBatch),
-        ] {
-            assert_eq!(parse_continuous(v), Ok(want), "value {v:?}");
-        }
-    }
-
-    #[test]
-    fn parse_continuous_rejects_junk_with_all_accepted_values_named() {
-        for bad in ["", " \n", "2", "always", "batch"] {
-            let e = parse_continuous(bad).unwrap_err();
-            assert!(
-                e.contains("RESERVOIR_CONTINUOUS")
-                    && e.contains("disabled")
-                    && e.contains("every-batch"),
-                "error for {bad:?} must name every accepted value, got {e:?}"
-            );
-        }
     }
 }

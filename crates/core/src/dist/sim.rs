@@ -35,7 +35,7 @@ use reservoir_select::{select_conductor, CandidateSet, SelectParams, SelectResul
 
 use crate::dist::engine::{Charge, InsertOutcome, Placement, ReservoirProtocol, SamplerBackend};
 use crate::dist::local::ScanStats;
-use crate::dist::{DistConfig, SamplingMode};
+use crate::dist::{ContinuousMode, DistConfig, SamplingMode};
 use crate::metrics::PhaseTimes;
 use crate::sample::SampleItem;
 
@@ -163,7 +163,7 @@ pub struct SimConfig {
     /// [`AnalyticLocalCosts::par_serial_frac`], modeling multicore PEs
     /// running the chunked local scan on their worker crews. The statistical
     /// behaviour is unchanged (the real scan draws the same sample at
-    /// every width).
+    /// every width). Defaults to 1.
     pub threads_per_pe: usize,
     /// Variable-size window `(k, k̄)` of Section 4.4: the sample may grow
     /// to `k̄` before an *approximate* selection shrinks it back into the
@@ -175,12 +175,13 @@ pub struct SimConfig {
     /// epoch per batch. Each publication drives the engine's real
     /// finalize/place sequence, so its count/select/place collectives are
     /// charged to the α–β model under the `output` phase — the modeled
-    /// price of continuous reads. Defaults to `RESERVOIR_CONTINUOUS`.
-    pub continuous: super::ContinuousMode,
+    /// price of continuous reads. Defaults to [`ContinuousMode::Disabled`].
+    pub continuous: ContinuousMode,
 }
 
 impl SimConfig {
-    /// An exact-size configuration (the historical constructor shape).
+    /// An exact-size configuration with one modeled scan thread per PE
+    /// and no continuous publication.
     pub fn new(
         p: usize,
         k: usize,
@@ -189,10 +190,6 @@ impl SimConfig {
         algo: SimAlgo,
         seed: u64,
     ) -> Self {
-        // Only the continuous default comes from the environment: the
-        // modeled scan width stays 1 unless `with_threads` says otherwise,
-        // so the cost goldens do not follow `RESERVOIR_THREADS`.
-        let (_, continuous) = super::env_defaults();
         SimConfig {
             p,
             k,
@@ -202,7 +199,7 @@ impl SimConfig {
             seed,
             threads_per_pe: 1,
             size_window: None,
-            continuous,
+            continuous: ContinuousMode::Disabled,
         }
     }
 
@@ -220,10 +217,8 @@ impl SimConfig {
         self
     }
 
-    /// Publish always-fresh sample epochs per the given
-    /// [`ContinuousMode`](super::ContinuousMode) (overrides the
-    /// `RESERVOIR_CONTINUOUS` default).
-    pub fn with_continuous(mut self, continuous: super::ContinuousMode) -> Self {
+    /// Publish always-fresh sample epochs per the given [`ContinuousMode`].
+    pub fn with_continuous(mut self, continuous: ContinuousMode) -> Self {
         self.continuous = continuous;
         self
     }
@@ -238,7 +233,9 @@ impl SimConfig {
                 SimAlgo::Gather => 1,
             },
             size_window: self.size_window,
-            ..DistConfig::base(self.k, self.seed, self.threads_per_pe, self.continuous)
+            threads_per_pe: self.threads_per_pe,
+            continuous: self.continuous,
+            ..DistConfig::weighted(self.k, self.seed)
         }
     }
 }
@@ -976,7 +973,7 @@ impl SimShardedCluster {
             "the sharded schedule batches the distributed selection protocol"
         );
         assert!(
-            cfg.continuous == super::ContinuousMode::Disabled,
+            cfg.continuous == ContinuousMode::Disabled,
             "sharded simulation models batch steps only"
         );
         let fleet = (0..shards)
@@ -1365,6 +1362,47 @@ mod tests {
         let t = sim.threshold().expect("established");
         let expect = 500.0 / n;
         assert!((t - expect).abs() < 0.2 * expect, "{t:.3e} vs {expect:.3e}");
+    }
+
+    /// Per-batch publication on the simulator bills the output phase and
+    /// changes neither the trajectory nor the sample, in exact mode and
+    /// with a `(k, 3k)` window; `collect_output` publishes one epoch more.
+    #[test]
+    fn every_batch_publication_bills_output_and_keeps_the_trajectory() {
+        for window in [false, true] {
+            let run = |mode: ContinuousMode| {
+                let mut c = cfg(16, 200, 2_000, SimAlgo::Ours { pivots: 2 }, 7);
+                if window {
+                    c = c.with_size_window(200, 600);
+                }
+                let mut sim = SimCluster::new(
+                    c.with_continuous(mode),
+                    CostModel::infiniband_edr(),
+                    AnalyticLocalCosts::default(),
+                );
+                let reader = sim.snapshot_reader();
+                let mut output = 0.0;
+                let trajectory: Vec<_> = (0..5)
+                    .map(|_| {
+                        let r = sim.process_batch();
+                        output += r.times.output;
+                        (sim.threshold().map(f64::to_bits), r.rounds)
+                    })
+                    .collect();
+                let mut ids: Vec<u64> = sim.sample().iter().map(|m| m.id).collect();
+                ids.sort_unstable();
+                let before = reader.read();
+                sim.collect_output(OutputPath::Distributed);
+                let epochs = (before.epoch, before.items.len(), reader.read().epoch);
+                (trajectory, ids, output, epochs)
+            };
+            let off = run(ContinuousMode::Disabled);
+            let on = run(ContinuousMode::EveryBatch);
+            assert_eq!((&on.0, &on.1), (&off.0, &off.1), "window={window}");
+            assert_eq!((off.2, off.3), (0.0, (0, 0, 0)), "window={window}");
+            assert!(on.2 > 0.0, "window={window}: publication must bill output");
+            assert_eq!(on.3, (5, 200, 6), "window={window}");
+        }
     }
 
     #[test]

@@ -47,5 +47,5 @@ pub mod seq;
 mod reservoir;
 
 pub use dist::{DistConfig, PipelineReport, SampleHandle, SamplingMode};
-pub use metrics::{PhaseFractions, PhaseTimes};
+pub use metrics::PhaseTimes;
 pub use sample::SampleItem;

@@ -30,9 +30,8 @@ pub struct PhaseTimes {
     /// Seconds the busiest worker spent jump-scanning inside the parallel
     /// region of the insert phase (batches scanned on the PE's pool only;
     /// 0 for inline scans). This time *overlaps* `insert` wall-clock time, so
-    /// it is excluded from [`Self::total`] and [`Self::fractions`] — use
-    /// `par_scan / insert` as the parallel region's share of the insert
-    /// phase.
+    /// it is excluded from [`Self::total`] — use `par_scan / insert` as the
+    /// parallel region's share of the insert phase.
     pub par_scan: f64,
 }
 
@@ -52,28 +51,6 @@ impl PhaseTimes {
         self.gather += other.gather;
         self.output += other.output;
         self.par_scan += other.par_scan;
-    }
-
-    /// Each disjoint wall-clock phase's share of [`Self::total`], by
-    /// name; all zeros for an empty accumulator. `par_scan` has **no**
-    /// fraction: it measures the busiest worker *inside* the `insert`
-    /// phase's parallel region, so its seconds overlap `insert` and
-    /// adding a seventh share would push the sum past 1. Compute
-    /// `par_scan / insert` from the [`PhaseTimes`] fields instead when
-    /// the parallel region's share of the insert phase is wanted.
-    pub fn fractions(&self) -> PhaseFractions {
-        let t = self.total();
-        if t == 0.0 {
-            return PhaseFractions::default();
-        }
-        PhaseFractions {
-            ingest: self.ingest / t,
-            insert: self.insert / t,
-            select: self.select / t,
-            threshold: self.threshold / t,
-            gather: self.gather / t,
-            output: self.output / t,
-        }
     }
 
     /// Elementwise difference against an earlier snapshot of the same
@@ -105,40 +82,6 @@ impl PhaseTimes {
     }
 }
 
-/// Named per-phase shares of a [`PhaseTimes`] total, as returned by
-/// [`PhaseTimes::fractions`]. The six fields are the *disjoint* wall-clock
-/// phases and sum to 1 for a non-empty accumulator; the overlapping
-/// `par_scan` time is deliberately absent (see [`PhaseTimes::fractions`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct PhaseFractions {
-    pub ingest: f64,
-    pub insert: f64,
-    pub select: f64,
-    pub threshold: f64,
-    pub gather: f64,
-    pub output: f64,
-}
-
-impl PhaseFractions {
-    /// Labeled `(phase, share)` pairs in the canonical reporting order —
-    /// for callers that want to iterate without hard-coding positions.
-    pub fn labeled(&self) -> [(&'static str, f64); 6] {
-        [
-            ("ingest", self.ingest),
-            ("insert", self.insert),
-            ("select", self.select),
-            ("threshold", self.threshold),
-            ("gather", self.gather),
-            ("output", self.output),
-        ]
-    }
-
-    /// Sum of the six shares: 1 for a non-empty accumulator, 0 otherwise.
-    pub fn sum(&self) -> f64 {
-        self.ingest + self.insert + self.select + self.threshold + self.gather + self.output
-    }
-}
-
 impl std::ops::Add for PhaseTimes {
     type Output = PhaseTimes;
     fn add(mut self, rhs: PhaseTimes) -> PhaseTimes {
@@ -160,25 +103,10 @@ mod tests {
             threshold: 0.5,
             gather: 0.25,
             output: 0.25,
-            // Overlaps insert: must not show up in total or fractions.
+            // Overlaps insert: must not show up in the total.
             par_scan: 1.5,
         };
         assert_eq!(t.total(), 8.0);
-        let f = t.fractions();
-        assert_eq!(
-            f,
-            PhaseFractions {
-                ingest: 0.5,
-                insert: 0.25,
-                select: 0.125,
-                threshold: 0.0625,
-                gather: 0.03125,
-                output: 0.03125,
-            }
-        );
-        assert_eq!(f.sum(), 1.0);
-        assert_eq!(f.labeled()[0], ("ingest", 0.5));
-        assert_eq!(f.labeled()[5], ("output", 0.03125));
     }
 
     #[test]
@@ -194,8 +122,6 @@ mod tests {
         };
         assert_eq!(b.insert, 1.0);
         assert_eq!(b.select, 2.0);
-        assert_eq!(PhaseTimes::default().fractions(), PhaseFractions::default());
-        assert_eq!(PhaseTimes::default().fractions().sum(), 0.0);
     }
 
     #[test]

@@ -63,12 +63,11 @@ const STATE_UNSET: u8 = 0;
 const STATE_OFF: u8 = 1;
 const STATE_ON: u8 = 2;
 
-/// Process-wide gate. Unset until the first [`enabled`] / [`init_env`] /
+/// Process-wide gate. Unset until the first [`enabled`] or
 /// [`set_enabled`] touch.
 static STATE: AtomicU8 = AtomicU8::new(STATE_UNSET);
 
-/// Every spelling `RESERVOIR_OBS` accepts (named in full in parse errors,
-/// per the workspace env-validation convention).
+/// Every spelling `RESERVOIR_OBS` accepts (named in full in parse errors).
 pub const ACCEPTED_SPELLINGS: &str = "0/off/false/no/disabled or 1/on/true/yes/enabled";
 
 /// Parse a `RESERVOIR_OBS` value; case-insensitive, surrounding whitespace
@@ -85,32 +84,26 @@ pub fn parse_obs(v: &str) -> Result<bool, String> {
 }
 
 /// Whether instrumentation is armed. The first call reads `RESERVOIR_OBS`
-/// (panicking on a malformed value — construct a `DistConfig` first to get
-/// the aggregated-error report instead); later calls are one relaxed load.
+/// (panicking on a malformed value); later calls are one relaxed load.
 #[inline]
 pub fn enabled() -> bool {
     match STATE.load(Ordering::Relaxed) {
         STATE_ON => true,
         STATE_OFF => false,
-        _ => init_env().unwrap_or_else(|e| panic!("{e}")),
+        _ => init_env(),
     }
 }
 
-/// Validate `RESERVOIR_OBS` and, if the gate is still unset, arm it
-/// accordingly (absent means disabled). A gate already set — by
-/// [`set_enabled`] or an earlier init — is left alone, so tests and
-/// embedders that arm the gate programmatically are not overridden, but
-/// the env value is still *validated* either way: `dist`'s
-/// `env_defaults()` calls this to fold a malformed `RESERVOIR_OBS` into
-/// the same aggregated report as `RESERVOIR_THREADS`/`CONTINUOUS`.
-pub fn init_env() -> Result<bool, String> {
+/// Arm the still-unset gate from `RESERVOIR_OBS` (absent means disabled).
+/// A gate that [`set_enabled`] set meanwhile is left alone.
+fn init_env() -> bool {
     let parsed = match std::env::var("RESERVOIR_OBS") {
-        Ok(v) => parse_obs(&v)?,
+        Ok(v) => parse_obs(&v).unwrap_or_else(|e| panic!("{e}")),
         Err(_) => false,
     };
     let target = if parsed { STATE_ON } else { STATE_OFF };
     let _ = STATE.compare_exchange(STATE_UNSET, target, Ordering::Relaxed, Ordering::Relaxed);
-    Ok(STATE.load(Ordering::Relaxed) == STATE_ON)
+    STATE.load(Ordering::Relaxed) == STATE_ON
 }
 
 /// Arm or disarm instrumentation for the whole process, overriding the

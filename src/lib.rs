@@ -139,16 +139,15 @@
 //! Each PE's local jump scan — the per-batch hot path once the ingestion
 //! runtime pushes batches faster than one core can scan them — splits
 //! every batch into fixed-size chunks, each scanned with its own RNG
-//! stream. Chain `.with_threads(t)` onto any `DistConfig` (or set the
-//! `RESERVOIR_THREADS` environment variable to switch a whole run) and
-//! each PE keeps one crew of `t − 1` helper threads ([`par`]), parked
-//! between batches: a batch of several chunks is scanned chunk-parallel on
-//! the crew and merged in a short sequential epilogue, while one-chunk
-//! batches (and every batch at `t = 1`) run the same chunk kernels inline.
-//! Chunk streams, not worker streams, carry the randomness, so for a fixed
-//! seed every thread count draws the *same sample* (pinned by
-//! `tests/engine_equivalence.rs`; the `par_chi_square` acceptance tests pin
-//! the law). A pooled batch's per-worker report is
+//! stream. Chain `.with_threads(t)` onto any `DistConfig` (the default
+//! is 1) and each PE keeps one crew of `t − 1` helper threads ([`par`]),
+//! parked between batches: a batch of several chunks is scanned
+//! chunk-parallel on the crew and merged in a short sequential epilogue,
+//! while one-chunk batches (and every batch at `t = 1`) run the same chunk
+//! kernels inline. Chunk streams, not worker streams, carry the
+//! randomness, so for a fixed seed every thread count draws the *same
+//! sample* (pinned by `tests/engine_equivalence.rs`; the `par_chi_square`
+//! acceptance tests pin the law). A pooled batch's per-worker report is
 //! `DistributedSampler::last_par_scan`:
 //!
 //! ```
@@ -177,15 +176,14 @@
 //!
 //! ## Always-fresh snapshots: reading the sample while it ingests
 //!
-//! With `.with_continuous(ContinuousMode::EveryBatch)` (or
-//! `RESERVOIR_CONTINUOUS=1`) every selection round publishes an
-//! immutable, checksummed [`dist::SampleEpoch`] — the sample finalized
-//! to exactly `k` through the Section 5 path — by swapping one `Arc`
-//! pointer under a mutex. A [`dist::SnapshotReader`] (cheap to clone,
-//! send it to any thread) reads a consistent epoch at any moment without
-//! pausing ingestion, and publication is observationally free: a fixed seed
-//! yields the byte-identical final sample whether continuous mode is on
-//! or off:
+//! With `.with_continuous(ContinuousMode::EveryBatch)` every selection
+//! round publishes an immutable, checksummed [`dist::SampleEpoch`] — the
+//! sample finalized to exactly `k` through the Section 5 path — by
+//! swapping one `Arc` pointer under a mutex. A [`dist::SnapshotReader`]
+//! (cheap to clone, send it to any thread) reads a consistent epoch at any
+//! moment without pausing ingestion, and publication is observationally
+//! free: a fixed seed yields the byte-identical final sample whether
+//! continuous mode is on or off:
 //!
 //! ```
 //! use reservoir::comm::run_threads;
@@ -254,8 +252,7 @@
 //! ```
 
 pub use reservoir_core::{
-    dist, metrics, sample, seq, PhaseFractions, PhaseTimes, PipelineReport, SampleHandle,
-    SampleItem,
+    dist, metrics, sample, seq, PhaseTimes, PipelineReport, SampleHandle, SampleItem,
 };
 
 /// Augmented B+ tree (rank/select/split/join) — the local reservoirs.

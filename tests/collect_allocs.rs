@@ -10,7 +10,7 @@ use std::cell::Cell;
 use std::hint::black_box;
 
 use reservoir::comm::run_threads;
-use reservoir::dist::{ContinuousMode, DistConfig, ShardedSampler};
+use reservoir::dist::{DistConfig, ShardedSampler};
 use reservoir::stream::{route_by_id, Item};
 
 thread_local! {
@@ -73,9 +73,7 @@ fn calls_during<R>(f: impl FnOnce() -> R) -> (R, u64) {
 /// collection runs first and its handles are dropped.
 fn steady_collection_calls(shards: usize) -> u64 {
     let k = 64;
-    let cfg = DistConfig::weighted(k, 0x0C01_1EC7)
-        .with_threads(1)
-        .with_continuous(ContinuousMode::Disabled);
+    let cfg = DistConfig::weighted(k, 0x0C01_1EC7);
     run_threads(1, move |comm| {
         let router = route_by_id(shards);
         let mut fleet = ShardedSampler::new(&comm, cfg, shards);

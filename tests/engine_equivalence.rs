@@ -1,11 +1,11 @@
 //! Engine equivalence: the stable sampler APIs are thin wrappers over
 //! `ReservoirProtocol<Backend>`, and nothing may hide in the wrapping —
 //! driving the engine directly must reproduce the wrapper's samples **byte
-//! for byte** under a fixed seed, on both real backend policies, at both
-//! scan widths the CI matrix runs (`RESERVOIR_THREADS ∈ {1, 4}` via
-//! explicit `with_threads`), and on the simulated backend. Plus the
-//! unified pipeline driver's unequal-stream-length edge cases, which every
-//! policy now shares through the engine's single drain loop.
+//! for byte** under a fixed seed, on both real backend policies, at scan
+//! widths 1 and 4, and on the simulated backend. Plus the invariances
+//! (scan width, continuous publication, the shared crew, the obs gate)
+//! and the unified pipeline driver's unequal-stream-length edge cases,
+//! which every policy shares through the engine's single drain loop.
 
 use reservoir::comm::{run_threads, Communicator, CostModel};
 use reservoir::dist::engine::ReservoirProtocol;
@@ -193,7 +193,7 @@ fn merge_mode_and_thread_count_never_change_the_sample() {
 /// RNG draws) bracketed by a checkpoint/restore of the selection
 /// generators, so a fixed-seed run with per-batch publication enabled
 /// must produce the byte-identical final sample to the same run without
-/// it — on both real backend policies, at both CI scan widths. The
+/// it — on both real backend policies, at scan widths 1 and 4. The
 /// continuous arm additionally checks the last published epoch against
 /// the collected output: the snapshot service really serves the sample,
 /// it does not just not-perturb it.
@@ -254,29 +254,6 @@ fn continuous_publication_never_changes_the_final_sample() {
 }
 
 #[test]
-fn distributed_and_gather_policies_run_the_same_scan_per_pe() {
-    // Both policies share the engine's insert step over the identical
-    // LocalReservoir scan; under equal seeds their *candidate generation* is
-    // driven by the same RNG streams even though the protocols differ.
-    // This pins the policy split to the collective steps only: same
-    // config, same per-batch candidate counts in the growing phase (no
-    // threshold yet ⇒ candidate sets are config-determined).
-    let p = 2;
-    let cfg = DistConfig::weighted(400, 55);
-    let dist_candidates = run_threads(p, |comm| {
-        let mut s = DistributedSampler::new(&comm, cfg);
-        s.process_batch(&unit_batch(comm.rank(), 0, 100)).inserted
-    });
-    let gather_candidates = run_threads(p, |comm| {
-        let mut s = GatherSampler::new(&comm, cfg);
-        s.process_batch(&unit_batch(comm.rank(), 0, 100))
-    });
-    // Below the fill point every item is a candidate on both policies.
-    assert_eq!(dist_candidates, vec![100, 100]);
-    assert_eq!(gather_candidates, vec![100, 100]);
-}
-
-#[test]
 fn sim_cluster_equals_engine_driven_sim_backend() {
     let mk_cfg = || {
         SimConfig::new(
@@ -295,9 +272,7 @@ fn sim_cluster_equals_engine_driven_sim_backend() {
     let mut direct = ReservoirProtocol::new(
         SimBackend::new(mk_cfg(), net, costs),
         // The engine config SimCluster derives: same k/pivots/mode.
-        DistConfig::weighted(200, 909)
-            .with_pivots(2)
-            .with_threads(1),
+        DistConfig::weighted(200, 909).with_pivots(2),
     );
     let mut cluster_rounds = Vec::new();
     let mut direct_rounds = Vec::new();
@@ -317,34 +292,59 @@ fn sim_cluster_equals_engine_driven_sim_backend() {
 }
 
 /// Unequal stream lengths through the engine's single drain loop, on both
-/// real policies: PE r gets r+1 batches; everyone must run the longest
-/// stream's rounds and agree on the final sample size.
+/// real policies and in both publication modes: PE r gets r+1 batches;
+/// everyone must run the longest stream's rounds and agree on the final
+/// sample, and per-batch publication must change neither. Under
+/// `EveryBatch` every PE's reader ends at epoch 4: three rounds plus the
+/// collection.
 #[test]
 fn unified_drain_survives_unequal_streams_on_both_policies() {
     let p = 3;
     for policy in ["distributed", "gather"] {
-        let results = run_threads(p, |comm| {
-            use reservoir::comm::Communicator;
-            let cfg = DistConfig::uniform(25, 5);
-            let mine: Vec<Item> = (0..=comm.rank() as u64)
-                .flat_map(|batch| unit_batch(comm.rank(), batch, 60))
-                .collect();
-            let mut ingest = spawn_source(ReplayRecords::new(mine), BatchPolicy::by_size(60), 1);
-            let rx = ingest.take_receiver();
-            let report = if policy == "distributed" {
-                let mut s = DistributedSampler::new(&comm, cfg);
-                s.run_pipeline(&rx)
-            } else {
-                let mut s = GatherSampler::new(&comm, cfg);
-                s.run_pipeline(&rx)
-            };
-            ingest.join();
-            (report.batches, report.rounds, report.handle.total_len())
-        });
-        for (rank, (batches, rounds, total)) in results.iter().enumerate() {
+        let run = |continuous: ContinuousMode| {
+            run_threads(p, |comm| {
+                let cfg = DistConfig::uniform(25, 5).with_continuous(continuous);
+                let mine: Vec<Item> = (0..=comm.rank() as u64)
+                    .flat_map(|batch| unit_batch(comm.rank(), batch, 60))
+                    .collect();
+                let mut ingest =
+                    spawn_source(ReplayRecords::new(mine), BatchPolicy::by_size(60), 1);
+                let rx = ingest.take_receiver();
+                let (report, reader) = if policy == "distributed" {
+                    let mut s = DistributedSampler::new(&comm, cfg);
+                    let reader = s.snapshot_reader();
+                    (s.run_pipeline(&rx), reader)
+                } else {
+                    let mut s = GatherSampler::new(&comm, cfg);
+                    let reader = s.snapshot_reader();
+                    (s.run_pipeline(&rx), reader)
+                };
+                ingest.join();
+                let epoch = reader.read();
+                let handle = &report.handle;
+                (
+                    (report.batches, report.rounds, handle.total_len()),
+                    fingerprint(handle.local_items().iter().map(|m| (m.id, m.key))),
+                    (epoch.epoch, epoch.total),
+                )
+            })
+        };
+        let (off, on) = (
+            run(ContinuousMode::Disabled),
+            run(ContinuousMode::EveryBatch),
+        );
+        for (rank, ((batches, rounds, total), _, _)) in off.iter().enumerate() {
             assert_eq!(*batches, rank as u64 + 1, "{policy}");
             assert_eq!(*rounds, 3, "{policy}: all PEs must run max rounds");
             assert_eq!(*total, 25, "{policy}");
+        }
+        for (rank, (a, b)) in off.iter().zip(&on).enumerate() {
+            assert_eq!(
+                (&a.0, &a.1),
+                (&b.0, &b.1),
+                "{policy} pe {rank}: publication"
+            );
+            assert_eq!(b.2, (4, 25), "{policy} pe {rank}: last epoch");
         }
     }
 }
@@ -412,7 +412,7 @@ fn unified_drain_finalizes_window_mode_output() {
 }
 
 /// The PE's shared scan crew and the sparse-batch fast path are invisible
-/// to the sampling law: at both CI scan widths, a shard fleet — every
+/// to the sampling law: at scan widths 1 and 4, a shard fleet — every
 /// shard scanning on its PE's one crew — reproduces byte for byte the
 /// samples of standalone per-shard samplers. Shard 3 never receives a
 /// record, so the fleet skips it every superstep while the standalone
@@ -437,7 +437,7 @@ fn pooled_fleet_and_sparse_skip_match_private_samplers_on_the_grid() {
     let private = run_threads(p, |comm| {
         (0..SHARDS)
             .map(|s| {
-                let cfg = DistConfig::weighted(25, shard_seed(808, s)).with_threads(1);
+                let cfg = DistConfig::weighted(25, shard_seed(808, s));
                 let mut solo = DistributedSampler::new(&comm, cfg);
                 for b in 0..4u64 {
                     let buckets = route(unit_batch(comm.rank(), b, 120));
@@ -487,7 +487,7 @@ fn pooled_fleet_and_sparse_skip_match_private_samplers_on_the_grid() {
 
 /// The retired leaf-affinity toggle, which the benchmark harness still
 /// pins on, never changes the sample: the fixed-seed output is
-/// byte-identical with it on or off, at both CI scan widths.
+/// byte-identical with it on or off, at scan widths 1 and 4.
 #[test]
 fn leaf_affinity_toggle_never_changes_the_sample() {
     let p = 3;

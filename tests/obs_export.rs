@@ -13,16 +13,13 @@
 //! explicit allowlist before rendering, excluding wall-clock gauges
 //! (`phase_*`, `sim_collective_seconds`) and any tally that depends on
 //! thread scheduling, which legitimately vary run to run.
-//! The run pins `threads = 1` and disabled continuous publication
-//! explicitly, so the CI matrix's `RESERVOIR_THREADS`/`CONTINUOUS`
-//! environment cannot perturb the pinned counts.
 
 use std::fs;
 use std::path::PathBuf;
 
 use reservoir::comm::run_threads;
 use reservoir::dist::threaded::DistributedSampler;
-use reservoir::dist::{ContinuousMode, DistConfig};
+use reservoir::dist::DistConfig;
 use reservoir::stream::Item;
 
 /// Metrics whose fixed-seed values are exactly reproducible. Everything
@@ -70,9 +67,7 @@ fn check(ext: &str, actual: &str) -> Result<(), String> {
 #[test]
 fn exports_match_golden_snapshot() {
     reservoir::obs::set_enabled(true);
-    let cfg = DistConfig::weighted(16, 7)
-        .with_threads(1)
-        .with_continuous(ContinuousMode::Disabled);
+    let cfg = DistConfig::weighted(16, 7);
     let totals = run_threads(2, |comm| {
         use reservoir::comm::Communicator;
         let mut s = DistributedSampler::new(&comm, cfg);

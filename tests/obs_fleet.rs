@@ -4,16 +4,14 @@
 //! the registry is process-global: no other sampler may run beside it.
 
 use reservoir::comm::run_threads;
-use reservoir::dist::{ContinuousMode, DistConfig, ShardedSampler};
+use reservoir::dist::{DistConfig, ShardedSampler};
 use reservoir::stream::{route_by_id, Item};
 
 #[test]
 fn fleet_steps_count_records_and_rounds_once() {
     reservoir::obs::set_enabled(true);
     let (pes, shards, batches, per_batch) = (2usize, 8usize, 4u64, 500u64);
-    let cfg = DistConfig::weighted(16, 11)
-        .with_threads(1)
-        .with_continuous(ContinuousMode::Disabled);
+    let cfg = DistConfig::weighted(16, 11);
     let rounds = run_threads(pes, |comm| {
         use reservoir::comm::Communicator;
         let router = route_by_id(shards);

@@ -20,7 +20,7 @@ use std::time::Instant;
 
 use reservoir::comm::run_threads;
 use reservoir::dist::threaded::DistributedSampler;
-use reservoir::dist::{ContinuousMode, DistConfig};
+use reservoir::dist::DistConfig;
 use reservoir::stream::{StreamSpec, WeightGen};
 
 /// One timed fixed-seed run; returns items/second.
@@ -34,9 +34,7 @@ fn throughput(seed: u64) -> f64 {
         weights: WeightGen::paper_uniform(),
         seed,
     };
-    let cfg = DistConfig::weighted(1_000, seed)
-        .with_threads(1)
-        .with_continuous(ContinuousMode::Disabled);
+    let cfg = DistConfig::weighted(1_000, seed);
     let start = Instant::now();
     run_threads(pes, |comm| {
         use reservoir::comm::Communicator;

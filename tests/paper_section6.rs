@@ -33,7 +33,7 @@ use std::fmt::Write as _;
 
 use reservoir::comm::CostModel;
 use reservoir::dist::sim::{AnalyticLocalCosts, SimAlgo, SimCluster, SimConfig};
-use reservoir::dist::{ContinuousMode, SamplingMode};
+use reservoir::dist::SamplingMode;
 use reservoir::metrics::PhaseTimes;
 
 #[path = "common/golden.rs"]
@@ -211,8 +211,7 @@ fn simulate(run: &Run) -> Row {
         SamplingMode::Weighted,
         run.algo,
         SEED,
-    )
-    .with_continuous(ContinuousMode::Disabled);
+    );
     let mut sim = SimCluster::new(
         cfg,
         CostModel::infiniband_edr(),

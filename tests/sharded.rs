@@ -559,11 +559,7 @@ fn sharded_size_window_finalizes_to_k() {
         use reservoir::comm::Communicator;
         let shards = 4;
         let router = route_by_id(shards);
-        // Window mode is the subject here — pin continuous publication off
-        // so the test is independent of the RESERVOIR_CONTINUOUS default.
-        let cfg = DistConfig::weighted(10, seed)
-            .with_size_window(10, 25)
-            .with_continuous(ContinuousMode::Disabled);
+        let cfg = DistConfig::weighted(10, seed).with_size_window(10, 25);
         let mut fleet = ShardedSampler::new(&comm, cfg, shards);
         for batch in batches_for(comm.rank(), 2, 3_000, 3) {
             fleet.process_batch(&router.route(batch));
@@ -639,7 +635,7 @@ fn sparse_supersteps_plan_active_shards_only() {
         use reservoir::comm::Communicator;
         let _ = comm.rank();
         let shards = 4096usize;
-        let cfg = DistConfig::weighted(8, seed).with_threads(1);
+        let cfg = DistConfig::weighted(8, seed);
         let mut fleet = ShardedSampler::new(&comm, cfg, shards);
 
         // A 95%-sparse superstep: records land in 5% of the shards.

@@ -17,7 +17,7 @@
 
 use reservoir::comm::CostModel;
 use reservoir::dist::sim::{AnalyticLocalCosts, SimAlgo, SimConfig, SimShardedCluster};
-use reservoir::dist::{ContinuousMode, SamplingMode};
+use reservoir::dist::SamplingMode;
 
 #[path = "common/golden.rs"]
 mod golden;
@@ -90,10 +90,7 @@ fn run_fleet(p: usize, shards: usize) -> Row {
         SamplingMode::Weighted,
         SimAlgo::Ours { pivots: 8 },
         SNAPSHOT_SEED ^ ((p as u64) << 32),
-    )
-    // Pin the baseline trajectory even under RESERVOIR_CONTINUOUS=1
-    // (and the sharded sim models batch steps only).
-    .with_continuous(ContinuousMode::Disabled);
+    );
     let mut fleet = SimShardedCluster::new(
         cfg,
         shards,

@@ -3,13 +3,17 @@
 //! the α–β model, the local cost model, or the selection protocol fails
 //! CI.
 //!
-//! The golden table lives in `tests/golden/sim_costs.tsv`. On mismatch the
-//! test writes the freshly computed table (and a cell-level diff) to
-//! `target/sim-snapshot/` — CI uploads that directory as an artifact. To
-//! re-baseline after an *intentional* cost-model change:
+//! The golden table lives in `tests/golden/sim_costs.tsv`. The whole grid
+//! takes about 55 s in a debug build, so the full comparison is a `stats_`
+//! test (`cargo test --release --features stats -- stats_`); the default
+//! suite recomputes every row outside [`SLOW_BLOCKS`] and reads the shape
+//! claims off the committed table. On mismatch either check writes the
+//! freshly computed rows (and a cell-level diff) to `target/sim-snapshot/`
+//! — CI uploads that directory as an artifact. To re-baseline after an
+//! *intentional* cost-model change:
 //!
 //! ```text
-//! UPDATE_SIM_GOLDEN=1 cargo test --test sim_snapshots
+//! UPDATE_SIM_GOLDEN=1 cargo test --release --features stats --test sim_snapshots -- stats_
 //! ```
 //!
 //! The grid runs a fixed literal seed (not `RESERVOIR_TEST_SEED`): the
@@ -17,7 +21,7 @@
 
 use reservoir::comm::CostModel;
 use reservoir::dist::sim::{AnalyticLocalCosts, OutputPath, SimAlgo, SimCluster, SimConfig};
-use reservoir::dist::{ContinuousMode, SamplingMode};
+use reservoir::dist::SamplingMode;
 
 #[path = "common/golden.rs"]
 mod golden;
@@ -38,6 +42,12 @@ const T_GRID: [usize; 2] = [1, 4];
 const W_GRID: [u64; 2] = [1, 2];
 const SNAPSHOT_SEED: u64 = 0xC0FFEE;
 const BATCHES: usize = 3;
+/// The `(p, k)` blocks only the `stats_` test recomputes. Their cluster
+/// batch `p·k` (2·10⁶ and 3.2·10⁶ items) is under the simulator's
+/// exact-growing limit of 4·10⁶, so the growing phase draws every key:
+/// the two blocks take about 43 of the whole grid's 55 s in a debug
+/// build, while p = 5120 is sampled and cheap.
+const SLOW_BLOCKS: [(usize, usize); 2] = [(20, 100_000), (320, 10_000)];
 
 /// Relative tolerance for modeled seconds and word counts: wide enough to
 /// absorb cross-platform libm wiggle shifting a selection by a round or
@@ -49,7 +59,8 @@ const ROUNDS_TOL: f64 = 4.0;
 const GOLDEN: Golden = Golden {
     file: "sim_costs.tsv",
     artifact: "sim-snapshot",
-    regen: "UPDATE_SIM_GOLDEN=1 cargo test --test sim_snapshots",
+    regen:
+        "UPDATE_SIM_GOLDEN=1 cargo test --release --features stats --test sim_snapshots -- stats_",
     columns: &[
         ("p", Tol::Key),
         ("k", Tol::Key),
@@ -126,90 +137,100 @@ fn golden_rows() -> Vec<Row> {
     GOLDEN.read().iter().map(|f| Row::from_cells(f)).collect()
 }
 
-fn compute_table() -> Vec<Row> {
-    let mut rows = Vec::new();
-    for &p in &P_GRID {
-        for &k in &K_GRID {
-            for &t in &T_GRID {
-                for &w in &W_GRID {
-                    let mk = |algo| {
-                        let mut cfg = SimConfig::new(
-                            p,
-                            k,
-                            k as u64,
-                            SamplingMode::Weighted,
-                            algo,
-                            SNAPSHOT_SEED ^ ((p as u64) << 32) ^ k as u64,
-                        )
-                        .with_threads(t)
-                        // The snapshot pins the baseline (non-continuous)
-                        // trajectory even when the suite runs under
-                        // RESERVOIR_CONTINUOUS=1: per-batch epoch
-                        // publication bills extra output rounds that the
-                        // golden table deliberately excludes.
-                        .with_continuous(ContinuousMode::Disabled);
-                        if w > 1 {
-                            cfg = cfg.with_size_window(k as u64, w * k as u64);
-                        }
-                        cfg
-                    };
-                    let net = CostModel::infiniband_edr();
-                    let costs = AnalyticLocalCosts::default();
-                    let mut ours = SimCluster::new(mk(SimAlgo::Ours { pivots: 8 }), net, costs);
-                    // The gather baseline has no variable-size mode; its
-                    // batch column stays the exact-size run on every row.
-                    let mut gather = SimCluster::new(
-                        SimConfig::new(
-                            p,
-                            k,
-                            k as u64,
-                            SamplingMode::Weighted,
-                            SimAlgo::Gather,
-                            SNAPSHOT_SEED ^ ((p as u64) << 32) ^ k as u64,
-                        )
-                        .with_threads(t)
-                        .with_continuous(ContinuousMode::Disabled),
-                        net,
-                        costs,
-                    );
-                    let mut ours_s = 0.0;
-                    let mut gather_s = 0.0;
-                    for _ in 0..BATCHES {
-                        ours_s += ours.process_batch().times.total();
-                        gather_s += gather.process_batch().times.total();
-                    }
-                    let dist_out = ours.collect_output(OutputPath::Distributed);
-                    let gather_out = ours.collect_output(OutputPath::Gather);
-                    rows.push(Row {
-                        p,
-                        k,
-                        t,
-                        w,
-                        ours_batch_s: ours_s / BATCHES as f64,
-                        gather_batch_s: gather_s / BATCHES as f64,
-                        dist_out_s: dist_out.times.total(),
-                        dist_out_words: dist_out.bottleneck_words,
-                        dist_rounds: dist_out.rounds,
-                        gather_out_s: gather_out.times.total(),
-                        gather_out_words: gather_out.bottleneck_words,
-                    });
+/// Every grid point `(p, k, t, w)`, in table order.
+fn grid() -> Vec<(usize, usize, usize, u64)> {
+    let mut points = Vec::new();
+    for p in P_GRID {
+        for k in K_GRID {
+            for t in T_GRID {
+                for w in W_GRID {
+                    points.push((p, k, t, w));
                 }
             }
         }
     }
-    rows
+    points
 }
 
+fn simulate((p, k, t, w): (usize, usize, usize, u64)) -> Row {
+    let mk = |algo| {
+        SimConfig::new(
+            p,
+            k,
+            k as u64,
+            SamplingMode::Weighted,
+            algo,
+            SNAPSHOT_SEED ^ ((p as u64) << 32) ^ k as u64,
+        )
+        .with_threads(t)
+    };
+    let net = CostModel::infiniband_edr();
+    let costs = AnalyticLocalCosts::default();
+    let mut ours_cfg = mk(SimAlgo::Ours { pivots: 8 });
+    if w > 1 {
+        ours_cfg = ours_cfg.with_size_window(k as u64, w * k as u64);
+    }
+    let mut ours = SimCluster::new(ours_cfg, net, costs);
+    // The gather baseline has no variable-size mode; its batch column
+    // stays the exact-size run on every row.
+    let mut gather = SimCluster::new(mk(SimAlgo::Gather), net, costs);
+    let mut ours_s = 0.0;
+    let mut gather_s = 0.0;
+    for _ in 0..BATCHES {
+        ours_s += ours.process_batch().times.total();
+        gather_s += gather.process_batch().times.total();
+    }
+    let dist_out = ours.collect_output(OutputPath::Distributed);
+    let gather_out = ours.collect_output(OutputPath::Gather);
+    Row {
+        p,
+        k,
+        t,
+        w,
+        ours_batch_s: ours_s / BATCHES as f64,
+        gather_batch_s: gather_s / BATCHES as f64,
+        dist_out_s: dist_out.times.total(),
+        dist_out_words: dist_out.bottleneck_words,
+        dist_rounds: dist_out.rounds,
+        gather_out_s: gather_out.times.total(),
+        gather_out_words: gather_out.bottleneck_words,
+    }
+}
+
+fn compute(points: &[(usize, usize, usize, u64)]) -> Vec<Vec<String>> {
+    points
+        .iter()
+        .map(|&point| simulate(point).cells())
+        .collect()
+}
+
+/// The default suite's share of the golden check: every row outside
+/// [`SLOW_BLOCKS`], recomputed and compared with its committed row.
 #[test]
 fn sim_cost_tables_match_golden_snapshot() {
-    let rows: Vec<Vec<String>> = compute_table().iter().map(Row::cells).collect();
+    let fast = |p: usize, k: usize| !SLOW_BLOCKS.contains(&(p, k));
+    let points: Vec<_> = grid()
+        .into_iter()
+        .filter(|&(p, k, _, _)| fast(p, k))
+        .collect();
+    assert_eq!(points.len(), 28);
+    GOLDEN.check_subset(&compute(&points), |cells| {
+        let r = Row::from_cells(cells);
+        fast(r.p, r.k)
+    });
+}
+
+/// The whole grid against the committed table.
+#[cfg(feature = "stats")]
+#[test]
+fn stats_sim_cost_grid_matches_golden() {
     GOLDEN.check(
         &format!(
             "SimCluster cost snapshot — seed {SNAPSHOT_SEED:#x}, {BATCHES} batches, b_per_pe = k,\n\
              InfiniBand EDR α–β model, AnalyticLocalCosts. Regenerate with\n{}",
             GOLDEN.regen
         ),
-        &rows,
+        &compute(&grid()),
     );
 }
 
@@ -240,17 +261,14 @@ fn sim_multicore_rows_are_no_slower() {
 }
 
 /// The acceptance-criterion crossover, read off the pinned table (which
-/// the companion test keeps equal to the live computation): the Section 5
+/// the `stats_` test keeps equal to the live computation): the Section 5
 /// distributed output beats the root funnel — in bottleneck words
 /// everywhere the sample is non-trivial, and in modeled time on large
 /// machines.
 #[test]
 fn sim_distributed_output_beats_gather_for_large_p() {
     let rows = golden_rows();
-    assert_eq!(
-        rows.len(),
-        P_GRID.len() * K_GRID.len() * T_GRID.len() * W_GRID.len()
-    );
+    assert_eq!(rows.len(), grid().len(), "grid changed; re-baseline");
     for r in &rows {
         assert!(
             r.dist_out_words < r.gather_out_words,
