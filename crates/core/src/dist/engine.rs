@@ -18,8 +18,9 @@
 //! plus the Section 5 output sequence
 //!
 //! 4. **finalize** — if the union currently exceeds `k`, one selection to
-//!    exact rank `k` fixes the final threshold; no items move;
-//! 5. **place** — an exclusive prefix count assigns every endpoint the
+//!    exact rank `k` fixes the final threshold; no items move. Its count,
+//!    or its selection's rank, is the global sample size;
+//! 5. **place** — one exclusive prefix count assigns every endpoint the
 //!    global output positions of its slice.
 //!
 //! What varies between execution, baseline comparison, and cost modeling
@@ -39,10 +40,13 @@
 //!
 //! Each collective sequence is composed of crate-internal local phases:
 //! the scan, the step's and the finalization's selection targets,
-//! adopting a selection and pruning, the finalized view, extraction,
-//! publication, closing the step and building the handle.
+//! adopting a selection and pruning, the finalized view, extraction into
+//! an engine-owned output buffer, building the [`SampleHandle`] over it,
+//! publication, and closing the step. A collection and a continuous-mode
+//! publication run the same finalize → extract → place → handle path, and
+//! a published epoch shares its handle's buffer.
 //! [`ReservoirProtocol::step`], [`ReservoirProtocol::finalize`] and
-//! [`ReservoirProtocol::collect_output`] interleave them with the
+//! [`ReservoirProtocol::collect_output`] interleave the phases with the
 //! backend's collectives; the sharded fleet
 //! ([`ShardedSampler`](crate::dist::sharded::ShardedSampler)) interleaves
 //! the same phases of many `ReservoirProtocol<CommBackend>` engines with
@@ -111,14 +115,13 @@ pub struct InsertOutcome {
     pub stats: ScanStats,
 }
 
-/// Where this endpoint's output slice lands in the global sample.
+/// Where this endpoint's output slice lands in the global sample (whose
+/// size is [`Finalized::total`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Placement {
     /// Global output position of the slice's first member (exclusive
     /// prefix count over endpoint ranks).
     pub offset: u64,
-    /// Global sample size.
-    pub total: u64,
 }
 
 /// Outcome of the Section 5 finalize step on this endpoint.
@@ -130,8 +133,9 @@ pub struct Finalized {
     pub threshold: Option<SampleKey>,
     /// Members of this endpoint's slice (keys at or below `threshold`).
     pub keep: u64,
-    /// Global size of the finalized sample: `k` when the union exceeded
-    /// `k`, otherwise the whole union.
+    /// Global size of the finalized sample: `k` (the selection's rank)
+    /// when the union exceeded `k`, otherwise the whole union (the
+    /// count). The endpoints' `keep`s sum to it.
     pub total: u64,
     /// Selection rounds the finalization used (0 when the sample already
     /// fit in `k`).
@@ -182,9 +186,8 @@ pub trait SamplerBackend {
     /// **prune**: drop every local reservoir entry above `t` (local).
     fn prune(&mut self, t: &SampleKey, times: &mut PhaseTimes, charge: Charge);
 
-    /// **place**: agree on the global sample size and this endpoint's
-    /// output offset for a slice of `local` members. Bills
-    /// `times.output`.
+    /// **place**: agree on this endpoint's output offset for a slice of
+    /// `local` members (one exclusive prefix sum). Bills `times.output`.
     fn place(&mut self, local: u64, times: &mut PhaseTimes) -> Placement;
 
     /// Members this endpoint's reservoir currently holds (local, free).
@@ -235,9 +238,9 @@ pub trait SamplerBackend {
     }
 }
 
-/// The place step over real collectives — one exclusive prefix sum plus
-/// one sum, billed to `output` — shared by every `Communicator`-based
-/// backend policy so the output placement cannot drift between them.
+/// The place step over real collectives — one exclusive prefix sum,
+/// billed to `output` — shared by every `Communicator`-based backend
+/// policy so the output placement cannot drift between them.
 pub(crate) fn place_over_collectives<C: reservoir_comm::Communicator>(
     comm: &C,
     local: u64,
@@ -245,12 +248,9 @@ pub(crate) fn place_over_collectives<C: reservoir_comm::Communicator>(
 ) -> Placement {
     use reservoir_comm::Collectives;
     let t0 = Instant::now();
-    let placement = Placement {
-        offset: comm.exscan_sum_u64(local),
-        total: comm.sum_u64(local),
-    };
+    let offset = comm.exscan_sum_u64(local);
     times.output += t0.elapsed().as_secs_f64();
-    placement
+    Placement { offset }
 }
 
 /// The drain vote over real collectives, shared by the same policies.
@@ -277,11 +277,14 @@ pub struct ReservoirProtocol<B: SamplerBackend> {
     /// publication itself only runs under [`ContinuousMode::EveryBatch`],
     /// once per step and once per `collect_output`.
     publisher: EpochPublisher,
-    /// The members of the latest collection's handle. The next
-    /// collection refills it in place once the caller has dropped every
-    /// handle on it, and otherwise leaves it to those handles and starts
-    /// a new one.
+    /// The members of the latest collection's or publication's handle.
+    /// The next extraction refills it in place if no handle or epoch
+    /// holds it any more.
     output: Arc<Vec<SampleItem>>,
+    /// The buffer before `output`, kept once `output` was found held. A
+    /// publication's slot lets go of it at the next swap, so steady
+    /// publication alternates between the two without allocating.
+    spare: Option<Arc<Vec<SampleItem>>>,
 }
 
 impl<B: SamplerBackend> ReservoirProtocol<B> {
@@ -297,6 +300,7 @@ impl<B: SamplerBackend> ReservoirProtocol<B> {
             steps: 0,
             publisher,
             output: Arc::default(),
+            spare: None,
         }
     }
 
@@ -433,7 +437,7 @@ impl<B: SamplerBackend> ReservoirProtocol<B> {
 
     /// Continuous-mode publication (collective): run the Section 5
     /// finalize → extract → place sequence and swap the resulting
-    /// finalized-to-`k` view into this endpoint's snapshot slot. Billed
+    /// finalized-to-`k` handle into this endpoint's snapshot slot. Billed
     /// entirely to `times.output` (the simulated backend charges the
     /// count/select/place collectives to its α–β model, so per-epoch cost
     /// shows up in the cost report). The selection RNG is checkpointed
@@ -443,32 +447,21 @@ impl<B: SamplerBackend> ReservoirProtocol<B> {
     fn publish_epoch(&mut self, times: &mut PhaseTimes) {
         let rng = self.backend.select_rng_state();
         let fin = self.finalize(times);
-        let items = self.extract(&fin, times);
-        let placement = self.backend.place(fin.keep, times);
         self.backend.restore_select_rng(rng);
-        self.publish(items, placement, &fin);
+        self.extract_output(&fin, times);
+        let placement = self.backend.place(fin.keep, times);
+        let handle = self.handle(placement.offset, &fin);
+        self.publish(handle, fin.rounds);
     }
 
-    /// Swap `items`, placed at `placement`, into this endpoint's snapshot
-    /// slot as the next epoch (local).
-    pub(crate) fn publish(
-        &mut self,
-        items: Vec<SampleItem>,
-        placement: Placement,
-        fin: &Finalized,
-    ) {
+    /// Swap `handle`, whose finalization took `rounds` selection rounds,
+    /// into this endpoint's snapshot slot as the next epoch (local).
+    pub(crate) fn publish(&mut self, handle: SampleHandle, rounds: u32) {
         let epoch_no = self.publisher.next_epoch();
-        self.publisher.publish(SampleEpoch::new(
-            epoch_no,
-            items,
-            placement.offset,
-            placement.total,
-            self.backend.rank(),
-            self.backend.size(),
-            fin.threshold.map(|t| t.key),
-            fin.rounds,
-        ));
-        obs_metrics::record_epoch(self.backend.rank(), epoch_no, placement.total);
+        let total = handle.total_len();
+        self.publisher
+            .publish(SampleEpoch::new(epoch_no, handle, rounds));
+        obs_metrics::record_epoch(self.backend.rank(), epoch_no, total);
     }
 
     /// The finalization selection a union of `union` keys calls for: one
@@ -511,22 +504,17 @@ impl<B: SamplerBackend> ReservoirProtocol<B> {
         self.finalized(union, sel)
     }
 
-    /// **extract** (local): this endpoint's finalized slice, key-sorted.
-    pub(crate) fn extract(&self, fin: &Finalized, times: &mut PhaseTimes) -> Vec<SampleItem> {
-        let mut items = Vec::with_capacity(fin.keep as usize);
-        self.backend
-            .local_items_le(fin.threshold.as_ref(), &mut items, times);
-        items
-    }
-
-    /// **extract** (local) for a collection: this endpoint's finalized
-    /// slice, key-sorted, into the engine-owned output buffer. The buffer
-    /// is refilled in place when no handle holds it (a steady collection
-    /// loop allocates nothing here); otherwise the handles keep it and a
-    /// new one is started.
+    /// **extract** (local): this endpoint's finalized slice, key-sorted,
+    /// into the latest or the previous output buffer, whichever no handle
+    /// or epoch holds (so a steady collection or publication loop
+    /// allocates nothing here), or else into a new one.
     pub(crate) fn extract_output(&mut self, fin: &Finalized, times: &mut PhaseTimes) {
         if Arc::get_mut(&mut self.output).is_none() {
-            self.output = Arc::default();
+            let mut next = self.spare.take().unwrap_or_default();
+            if Arc::get_mut(&mut next).is_none() {
+                next = Arc::default();
+            }
+            self.spare = Some(std::mem::replace(&mut self.output, next));
         }
         let buf = Arc::get_mut(&mut self.output).expect("the engine holds the only reference");
         // Clear before reserving, so the reservation never counts the
@@ -548,32 +536,38 @@ impl<B: SamplerBackend> ReservoirProtocol<B> {
         let fin = self.finalize(&mut times);
         self.extract_output(&fin, &mut times);
         let placement = self.backend.place(fin.keep, &mut times);
-        self.output(placement, &fin, times)
+        self.output(placement.offset, &fin, times)
     }
 
-    /// Build this endpoint's handle over the slice
-    /// [`Self::extract_output`] left in the output buffer, placed at
-    /// `placement`, and account for the collection (local).
-    pub(crate) fn output(
-        &mut self,
-        placement: Placement,
-        fin: &Finalized,
-        times: PhaseTimes,
-    ) -> (SampleHandle, PhaseTimes, u32) {
+    /// This endpoint's handle over the slice [`Self::extract_output`]
+    /// left in the output buffer, at global position `offset` of the
+    /// `fin.total`-member sample (local).
+    pub(crate) fn handle(&self, offset: u64, fin: &Finalized) -> SampleHandle {
         debug_assert_eq!(self.output.len() as u64, fin.keep);
-        let handle = SampleHandle::from_parts(
+        SampleHandle::from_parts(
             Arc::clone(&self.output),
-            placement,
+            offset,
+            fin.total,
             self.backend.rank(),
             self.backend.size(),
             fin.threshold.map(|t| t.key),
-        );
+        )
+    }
+
+    /// Build this endpoint's [`Self::handle`] for a collection and
+    /// account for the collection (local).
+    pub(crate) fn output(
+        &mut self,
+        offset: u64,
+        fin: &Finalized,
+        times: PhaseTimes,
+    ) -> (SampleHandle, PhaseTimes, u32) {
+        let handle = self.handle(offset, fin);
         if self.cfg.continuous == ContinuousMode::EveryBatch {
             // The collection itself is the freshest possible view; expose
             // it to snapshot readers too, reusing the collectives already
-            // run (a local copy of the slice, checksummed, then the
-            // pointer swap).
-            self.publish(handle.local_items().to_vec(), placement, fin);
+            // run and sharing the handle's members.
+            self.publish(handle.clone(), fin.rounds);
         }
         self.phases.accumulate(&times);
         obs_metrics::record_phases(&times);
@@ -750,11 +744,8 @@ mod tests {
             self.keys.retain(|(k, _)| k <= t);
         }
 
-        fn place(&mut self, local: u64, _times: &mut PhaseTimes) -> Placement {
-            Placement {
-                offset: 0,
-                total: local,
-            }
+        fn place(&mut self, _local: u64, _times: &mut PhaseTimes) -> Placement {
+            Placement { offset: 0 }
         }
 
         fn local_len(&self) -> u64 {
@@ -863,7 +854,7 @@ mod tests {
             assert_eq!(handle.total_len(), 10);
             let epoch = reader.read();
             assert_eq!(epoch.epoch, epochs, "{mode:?}");
-            assert_eq!(epoch.local_len(), if epochs == 0 { 0 } else { 10 });
+            assert_eq!(epoch.handle.local_len(), if epochs == 0 { 0 } else { 10 });
         }
     }
 

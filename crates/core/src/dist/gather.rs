@@ -33,9 +33,6 @@ use crate::dist::{DistConfig, PipelineReport, SamplingMode};
 use crate::metrics::PhaseTimes;
 use crate::sample::SampleItem;
 
-/// Wire representation of one candidate: `(id, weight, key)`.
-type WireItem = (u64, f64, f64);
-
 /// The root PE holding the global reservoir.
 const ROOT: usize = 0;
 
@@ -109,14 +106,9 @@ impl<C: Communicator> SamplerBackend for GatherBackend<'_, C> {
         times.insert += t0.elapsed().as_secs_f64();
         times.par_scan += self.scratch.last_scope_max_busy_s();
         let t1 = Instant::now();
-        let wire: Vec<WireItem> = self
-            .drain_buf
-            .iter()
-            .map(|s| (s.id, s.weight, s.key))
-            .collect();
-        if let Some(parts) = self.comm.gather(ROOT, wire) {
-            for (id, weight, key) in parts.into_iter().flatten() {
-                self.reservoir.push((SampleKey::new(key, id), weight));
+        if let Some(parts) = self.comm.gather(ROOT, self.drain_buf.clone()) {
+            for s in parts.into_iter().flatten() {
+                self.reservoir.push((SampleKey::new(s.key, s.id), s.weight));
             }
         }
         times.gather += t1.elapsed().as_secs_f64();

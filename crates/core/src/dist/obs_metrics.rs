@@ -17,10 +17,6 @@ pub(crate) static ENGINE_ITEMS: LazyCounter = LazyCounter::new(
     "engine_items_total",
     "stream items offered to the protocol engine (all endpoints in-process)",
 );
-pub(crate) static ENGINE_SELECT_ROUNDS: LazyCounter = LazyCounter::new(
-    "engine_select_rounds_total",
-    "pivot rounds spent by batch-step threshold selections",
-);
 pub(crate) static ENGINE_EPOCHS: LazyCounter = LazyCounter::new(
     "engine_epochs_published_total",
     "sample epochs published to snapshot readers",
@@ -87,7 +83,6 @@ pub(crate) fn record_step(
     ENGINE_BATCHES.inc();
     ENGINE_ITEMS.add(offered);
     if rounds > 0 {
-        ENGINE_SELECT_ROUNDS.add(rounds as u64);
         trace::emit(pe, TraceKind::SelectRound, rounds as u64, union);
     }
     SCAN_CHUNKS.add(stats.chunks);

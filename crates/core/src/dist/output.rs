@@ -12,11 +12,12 @@
 //!    cut mid-window), one distributed selection for exact rank `k` fixes
 //!    the final threshold; each PE's contribution is its keys at or below
 //!    it. No items move.
-//! 2. **place** — one 1-word all-reduce agrees on the global sample size
-//!    and one 1-word exclusive prefix sum (`exscan`) gives every PE the
-//!    offset of its slice: PE `i` owns global output positions
+//! 2. **place** — one 1-word exclusive prefix sum (`exscan`) gives every
+//!    PE the offset of its slice: PE `i` owns global output positions
 //!    `[offset_i, offset_i + n_i)`, where slices are ordered by PE rank and
-//!    by key within a PE.
+//!    by key within a PE. The global sample size needs no collective of
+//!    its own: it is the finalize step's count, or its selection's rank,
+//!    and the slices sum to it by construction.
 //!
 //! Total communication: O(d · selection rounds + 1) words per PE at
 //! O(α log p) latency — independent of both `k` and the stream length,
@@ -34,27 +35,26 @@ use reservoir_comm::{Collectives, Communicator};
 
 use crate::sample::SampleItem;
 
-/// Wire representation of one sample member: `(id, weight, key)`.
-type WireItem = (u64, f64, f64);
-
 /// One PE's root-free view of the finalized distributed sample.
 ///
 /// Produced collectively by
 /// [`DistributedSampler::collect_output`](crate::dist::threaded::DistributedSampler::collect_output)
 /// (and, for baseline comparisons,
-/// [`GatherSampler::collect_output`](crate::dist::gather::GatherSampler::collect_output)).
+/// [`GatherSampler::collect_output`](crate::dist::gather::GatherSampler::collect_output)),
+/// and carried by every published
+/// [`SampleEpoch`](crate::dist::snapshot::SampleEpoch).
 /// The handle holds this PE's slice of the sample plus the global placement
 /// metadata; all its inspection methods are local. [`Self::all_items`] and
 /// [`Self::gather_to`] are collective conveniences that *do* move the
 /// sample and are priced accordingly.
 ///
 /// The slice lives in a buffer the sampler owns and shares with the
-/// handle and its clones; cloning a handle copies no members. The
-/// sampler refills that buffer at a later collection only once no handle
-/// holds it any more, so a handle never changes: one kept across later
-/// collections keeps its members, and those collections fill a new
-/// buffer instead.
-#[derive(Clone, Debug)]
+/// handle, its clones and the epoch that publishes it; cloning a handle
+/// copies no members. The sampler refills that buffer at a later
+/// collection only once nothing else holds it any more, so a handle never
+/// changes: one kept across later collections keeps its members, and those
+/// collections fill a new buffer instead.
+#[derive(Clone, Debug, PartialEq)]
 pub struct SampleHandle {
     /// This PE's sample members, sorted by key.
     items: Arc<Vec<SampleItem>>,
@@ -70,45 +70,33 @@ pub struct SampleHandle {
 }
 
 impl SampleHandle {
-    /// Assemble the handle collectively: agree on the global size and this
-    /// PE's offset for its (key-sorted) `items`. Two 1-word collectives —
-    /// the reference implementation of the engine's place step (which the
-    /// production path runs through [`Self::from_parts`]).
-    #[cfg(test)]
-    pub(crate) fn assemble<C: Communicator>(
-        comm: &C,
-        items: Vec<SampleItem>,
-        threshold: Option<f64>,
-    ) -> SampleHandle {
-        let local = items.len() as u64;
-        let placement = crate::dist::engine::Placement {
-            offset: comm.exscan_sum_u64(local),
-            total: comm.sum_u64(local),
-        };
-        Self::from_parts(
-            Arc::new(items),
-            placement,
-            comm.rank(),
-            comm.size(),
-            threshold,
-        )
-    }
-
-    /// Build the handle over `items` from an already-agreed
-    /// [`Placement`] — the engine's place step ran the collectives (or
-    /// charged them, on the simulated backend).
-    pub(crate) fn from_parts(
+    /// The handle over PE `pe`'s (of `pes`) key-sorted slice `items`,
+    /// which sits at global positions `offset..offset + items.len()` of a
+    /// `total`-member sample finalized at `threshold`. Local: the caller
+    /// already agreed on the placement (the engine's place step ran, or
+    /// charged, its one exclusive prefix sum).
+    ///
+    /// # Panics
+    ///
+    /// If the slice does not fit inside the sample, i.e.
+    /// `offset + items.len() > total`.
+    pub fn from_parts(
         items: Arc<Vec<SampleItem>>,
-        placement: crate::dist::engine::Placement,
+        offset: u64,
+        total: u64,
         pe: usize,
         pes: usize,
         threshold: Option<f64>,
     ) -> SampleHandle {
-        debug_assert!(placement.offset + items.len() as u64 <= placement.total);
+        let end = offset.checked_add(items.len() as u64);
+        assert!(
+            end.is_some_and(|end| end <= total),
+            "the slice overruns the sample"
+        );
         SampleHandle {
             items,
-            offset: placement.offset,
-            total: placement.total,
+            offset,
+            total,
             pe,
             pes,
             threshold,
@@ -195,26 +183,17 @@ impl SampleHandle {
     /// order. Moves Θ(β·k) words per PE (segmented all-gather) — the
     /// explicit, costed alternative to staying distributed.
     pub fn all_items<C: Communicator>(&self, comm: &C) -> Vec<SampleItem> {
-        let wire: Vec<WireItem> = self.items.iter().map(|s| (s.id, s.weight, s.key)).collect();
-        let (flat, counts) = comm.allgatherv(wire);
+        let (all, counts) = comm.allgatherv(self.items.to_vec());
         debug_assert_eq!(counts.iter().sum::<u64>(), self.total);
-        flat.into_iter()
-            .map(|(id, weight, key)| SampleItem { id, weight, key })
-            .collect()
+        all
     }
 
     /// Collective: gather the full sample at `root` (in global output
     /// order): `Some(sample)` there, `None` elsewhere. The Section 4.5-style
     /// root funnel, kept for comparison and for genuinely centralized sinks.
     pub fn gather_to<C: Communicator>(&self, comm: &C, root: usize) -> Option<Vec<SampleItem>> {
-        let wire: Vec<WireItem> = self.items.iter().map(|s| (s.id, s.weight, s.key)).collect();
-        comm.gather(root, wire).map(|parts| {
-            parts
-                .into_iter()
-                .flatten()
-                .map(|(id, weight, key)| SampleItem { id, weight, key })
-                .collect()
-        })
+        comm.gather(root, self.items.to_vec())
+            .map(|parts| parts.into_iter().flatten().collect())
     }
 }
 
@@ -231,13 +210,31 @@ mod tests {
         }
     }
 
-    /// PE r holds r+1 items; offsets must form the exclusive prefix sums.
+    /// PE r holds r+1 items, placed as a caller without a finalize step
+    /// must place them: an exclusive prefix sum and a sum.
+    fn handle<C: Communicator>(comm: &C, threshold: Option<f64>) -> SampleHandle {
+        let r = comm.rank() as u64;
+        let items: Vec<SampleItem> = (0..=r).map(|i| item((r << 8) | i, i as f64)).collect();
+        let (offset, total) = (comm.exscan_sum_u64(r + 1), comm.sum_u64(r + 1));
+        SampleHandle::from_parts(
+            Arc::new(items),
+            offset,
+            total,
+            r as usize,
+            comm.size(),
+            threshold,
+        )
+    }
+
+    /// Every PE's `handle`; offsets must form the exclusive prefix sums.
     fn handles(p: usize) -> Vec<SampleHandle> {
-        run_threads(p, |comm| {
-            let r = comm.rank() as u64;
-            let items: Vec<SampleItem> = (0..=r).map(|i| item((r << 8) | i, i as f64)).collect();
-            SampleHandle::assemble(&comm, items, Some(9.0))
-        })
+        run_threads(p, |comm| handle(&comm, Some(9.0)))
+    }
+
+    #[test]
+    #[should_panic(expected = "the slice overruns the sample")]
+    fn from_parts_rejects_a_slice_past_the_total() {
+        SampleHandle::from_parts(Arc::new(vec![item(1, 0.5)]), 3, 3, 0, 1, None);
     }
 
     #[test]
@@ -314,9 +311,7 @@ mod tests {
     fn all_items_and_gather_to_agree_with_enumeration() {
         let p = 3;
         let results = run_threads(p, |comm| {
-            let r = comm.rank() as u64;
-            let items: Vec<SampleItem> = (0..=r).map(|i| item((r << 8) | i, i as f64)).collect();
-            let h = SampleHandle::assemble(&comm, items, None);
+            let h = handle(&comm, None);
             (h.clone(), h.all_items(&comm), h.gather_to(&comm, 0))
         });
         let (h0, all0, rooted) = &results[0];

@@ -63,7 +63,7 @@ use reservoir_select::{select_threaded_many, SelectParams, SelectResult, TargetR
 use reservoir_stream::ingest::MiniBatch;
 use reservoir_stream::{Item, ShardRouter};
 
-use crate::dist::engine::{drain, Finalized, Placement, ReservoirProtocol, SamplerBackend};
+use crate::dist::engine::{drain, Finalized, ReservoirProtocol, SamplerBackend};
 use crate::dist::output::SampleHandle;
 use crate::dist::snapshot::SnapshotReader;
 use crate::dist::threaded::CommBackend;
@@ -118,7 +118,8 @@ struct JointSelection {
 /// One shard's finalized and placed output slice.
 struct Finalization {
     fin: Finalized,
-    placement: Placement,
+    /// Global output position of the slice's first member.
+    offset: u64,
     /// Its share of the batched collectives' wall time.
     output_s: f64,
 }
@@ -333,10 +334,7 @@ impl<'a, C: Communicator> ShardedSampler<'a, C> {
             .map(|s| {
                 let fin = self.engines[s].finalized(unions[s]?, sel.results[s]);
                 Some(Finalization {
-                    placement: Placement {
-                        offset: 0,
-                        total: fin.total,
-                    },
+                    offset: 0,
                     output_s: if sel.results[s].is_some() {
                         sel.share
                     } else {
@@ -359,7 +357,7 @@ impl<'a, C: Communicator> ShardedSampler<'a, C> {
         let place_share = t0.elapsed().as_secs_f64() / placed as f64;
         for (out, offset) in outs.iter_mut().zip(offsets) {
             if let Some(out) = out {
-                out.placement.offset = offset;
+                out.offset = offset;
                 out.output_s += place_share;
             }
         }
@@ -432,8 +430,9 @@ impl<'a, C: Communicator> ShardedSampler<'a, C> {
 
         // Phase 4 (continuous only) — every stepped shard publishes an
         // epoch over its post-step union: the batched finalize sequence,
-        // on checkpointed selection streams, then one extract-and-publish
-        // loop.
+        // on checkpointed selection streams, then one loop that extracts
+        // each slice into its engine's output buffer and publishes the
+        // handle over it.
         let mut publish_share = 0.0;
         if self.engines[0].config().continuous == ContinuousMode::EveryBatch {
             let posts: Vec<Option<u64>> = (0..s_count)
@@ -444,10 +443,11 @@ impl<'a, C: Communicator> ShardedSampler<'a, C> {
             let t0 = Instant::now();
             for (s, out) in outs.into_iter().enumerate() {
                 if let Some(out) = out {
-                    let times = &mut per_shard[s].times;
+                    let (engine, times) = (&mut self.engines[s], &mut per_shard[s].times);
                     times.output += out.output_s;
-                    let items = self.engines[s].extract(&out.fin, times);
-                    self.engines[s].publish(items, out.placement, &out.fin);
+                    engine.extract_output(&out.fin, times);
+                    let handle = engine.handle(out.offset, &out.fin);
+                    engine.publish(handle, out.fin.rounds);
                 }
             }
             publish_share = t0.elapsed().as_secs_f64() / stepped_count;
@@ -512,7 +512,7 @@ impl<'a, C: Communicator> ShardedSampler<'a, C> {
                 output: share + out.output_s,
                 ..PhaseTimes::default()
             };
-            handles.push(engine.output(out.placement, &out.fin, times).0);
+            handles.push(engine.output(out.offset, &out.fin, times).0);
         }
         handles
     }

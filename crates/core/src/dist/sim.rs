@@ -750,13 +750,10 @@ impl SamplerBackend for SimBackend {
     /// The exclusive prefix sum that places every PE's slice. The
     /// conductor owns all slices, so the placement itself is trivial —
     /// only the cost is interesting.
-    fn place(&mut self, local: u64, times: &mut PhaseTimes) -> Placement {
+    fn place(&mut self, _local: u64, times: &mut PhaseTimes) -> Placement {
         times.output += self.net.exscan(self.cfg.p, 1).seconds();
         self.output_words += CostModel::tree_rounds(self.cfg.p) as u64;
-        Placement {
-            offset: 0,
-            total: local,
-        }
+        Placement { offset: 0 }
     }
 
     fn local_len(&self) -> u64 {
@@ -1393,7 +1390,7 @@ mod tests {
                 ids.sort_unstable();
                 let before = reader.read();
                 sim.collect_output(OutputPath::Distributed);
-                let epochs = (before.epoch, before.items.len(), reader.read().epoch);
+                let epochs = (before.epoch, before.handle.local_len(), reader.read().epoch);
                 (trajectory, ids, output, epochs)
             };
             let off = run(ContinuousMode::Disabled);

@@ -6,9 +6,10 @@
 //! *always* available, in the spirit of Jayaram et al.'s continuous
 //! distributed sampling. This module supplies the read side: each
 //! selection round (under [`ContinuousMode::EveryBatch`](crate::dist::ContinuousMode))
-//! the engine assembles a finalized-to-`k` view through the existing
-//! Section 5 finalize/place path and *publishes* it here as an immutable
-//! [`SampleEpoch`] by swapping one `Arc` pointer under a mutex.
+//! the engine runs the Section 5 finalize → extract → place sequence and
+//! *publishes* the resulting [`SampleHandle`] here as an immutable
+//! [`SampleEpoch`] by swapping one `Arc` pointer under a mutex. The epoch
+//! shares the handle's member buffer, so publishing copies no members.
 //!
 //! The slot is a `Mutex<Arc<SampleEpoch>>` beside a publication counter:
 //!
@@ -38,10 +39,11 @@
 //! tree.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use reservoir_obs::{LazyCounter, LazyGauge};
 
+use crate::dist::output::SampleHandle;
 use crate::sample::SampleItem;
 
 /// Epochs swapped into snapshot slots (all publishers in-process; the
@@ -61,7 +63,7 @@ static SNAPSHOT_READER_STALENESS: LazyGauge = LazyGauge::new(
 );
 
 /// One immutable published view of the sample, as seen by this protocol
-/// endpoint: its own finalized slice plus the global placement agreed by
+/// endpoint: the [`SampleHandle`] of its own finalized slice, placed by
 /// the finalize/place collectives (the simulated conductor publishes the
 /// whole cluster's sample with `pes` endpoint slices folded in).
 #[derive(Clone, Debug, PartialEq)]
@@ -69,20 +71,9 @@ pub struct SampleEpoch {
     /// Publication counter, 1-based; 0 is the pre-publication genesis
     /// epoch (empty sample).
     pub epoch: u64,
-    /// This endpoint's sample members at publication time, key-sorted,
-    /// finalized to the global sample size (every key is at or below
-    /// `threshold` when one exists).
-    pub items: Vec<SampleItem>,
-    /// Global output position of `items[0]` (exclusive prefix count).
-    pub offset: u64,
-    /// Global sample size across all endpoints.
-    pub total: u64,
-    /// This endpoint's rank and the number of endpoints.
-    pub pe: usize,
-    /// See [`Self::pe`].
-    pub pes: usize,
-    /// The finalization threshold, if one was established.
-    pub threshold: Option<f64>,
+    /// This endpoint's sample members at publication time, finalized to
+    /// the global sample size, with their global placement.
+    pub handle: SampleHandle,
     /// Selection rounds the finalization spent producing this epoch (0
     /// when the union already fit in `k`).
     pub rounds: u32,
@@ -146,26 +137,12 @@ fn lane_checksum(head: &[u64], items: &[SampleItem]) -> u64 {
 }
 
 impl SampleEpoch {
-    /// Assemble an epoch and stamp its checksum.
-    #[allow(clippy::too_many_arguments)] // one field per parameter, in order
-    pub fn new(
-        epoch: u64,
-        items: Vec<SampleItem>,
-        offset: u64,
-        total: u64,
-        pe: usize,
-        pes: usize,
-        threshold: Option<f64>,
-        rounds: u32,
-    ) -> Self {
+    /// The epoch numbered `epoch` over `handle`, whose finalization took
+    /// `rounds` selection rounds, with its checksum stamped.
+    pub fn new(epoch: u64, handle: SampleHandle, rounds: u32) -> Self {
         let mut e = SampleEpoch {
             epoch,
-            items,
-            offset,
-            total,
-            pe,
-            pes,
-            threshold,
+            handle,
             rounds,
             checksum: 0,
         };
@@ -173,37 +150,37 @@ impl SampleEpoch {
         e
     }
 
-    /// The epoch every slot starts from: number 0, empty sample.
+    /// The epoch every slot starts from: number 0, empty sample. All
+    /// genesis epochs share one empty member buffer, so a slot nothing is
+    /// ever published into allocates none.
     pub fn genesis(pe: usize, pes: usize) -> Self {
-        Self::new(0, Vec::new(), 0, 0, pe, pes, None, 0)
-    }
-
-    /// Members this endpoint holds in this epoch.
-    pub fn local_len(&self) -> u64 {
-        self.items.len() as u64
+        static EMPTY: OnceLock<Arc<Vec<SampleItem>>> = OnceLock::new();
+        let items = Arc::clone(EMPTY.get_or_init(Arc::default));
+        Self::new(0, SampleHandle::from_parts(items, 0, 0, pe, pes, None), 0)
     }
 
     /// The nine head words the checksum covers, in order.
     fn head_words(&self) -> [u64; 9] {
+        let h = &self.handle;
         [
             self.epoch,
-            self.offset,
-            self.total,
-            self.pe as u64,
-            self.pes as u64,
+            h.offset(),
+            h.total_len(),
+            h.pe() as u64,
+            h.pes() as u64,
             // A separate discriminant word: folding `None` into a
             // sentinel bit pattern would collide with a real threshold
             // carrying that same pattern (u64::MAX is a NaN encoding),
             // letting two different epochs share a checksum.
-            self.threshold.is_some() as u64,
-            self.threshold.map_or(0, f64::to_bits),
+            h.threshold().is_some() as u64,
+            h.threshold().map_or(0, f64::to_bits),
             self.rounds as u64,
-            self.items.len() as u64,
+            h.local_len(),
         ]
     }
 
     fn compute_checksum(&self) -> u64 {
-        lane_checksum(&self.head_words(), &self.items)
+        lane_checksum(&self.head_words(), self.handle.local_items())
     }
 
     /// Whether the stored checksum matches the payload — `false` means a
@@ -333,9 +310,26 @@ mod tests {
         }
     }
 
+    /// PE 0 of 1 holding the whole sample `items`.
+    fn handle(items: Vec<SampleItem>, threshold: Option<f64>) -> SampleHandle {
+        let total = items.len() as u64;
+        SampleHandle::from_parts(Arc::new(items), 0, total, 0, 1, threshold)
+    }
+
     fn epoch(n: u64, len: u64) -> SampleEpoch {
         let items = (0..len).map(|i| item(n * 1000 + i, i as f64)).collect();
-        SampleEpoch::new(n, items, 0, len, 0, 1, Some(0.5), 1)
+        SampleEpoch::new(n, handle(items, Some(0.5)), 1)
+    }
+
+    /// `e` with its members edited and its checksum kept: a torn read.
+    fn torn(e: &SampleEpoch, edit: impl FnOnce(&mut Vec<SampleItem>)) -> SampleEpoch {
+        let mut items = e.handle.local_items().to_vec();
+        edit(&mut items);
+        let handle = handle(items, e.handle.threshold());
+        SampleEpoch {
+            handle,
+            ..e.clone()
+        }
     }
 
     #[test]
@@ -344,8 +338,8 @@ mod tests {
         let r = p.reader();
         let e = r.read();
         assert_eq!(e.epoch, 0);
-        assert_eq!(e.local_len(), 0);
-        assert_eq!((e.pe, e.pes), (2, 8));
+        assert_eq!(e.handle.local_len(), 0);
+        assert_eq!((e.handle.pe(), e.handle.pes()), (2, 8));
         assert!(e.verify());
         assert_eq!(r.latest_epoch(), 0);
     }
@@ -358,7 +352,7 @@ mod tests {
             p.publish(epoch(n, 10));
             let e = r.read();
             assert_eq!(e.epoch, n);
-            assert_eq!(e.local_len(), 10);
+            assert_eq!(e.handle.local_len(), 10);
             assert!(e.verify());
             assert_eq!(r.latest_epoch(), n);
         }
@@ -368,10 +362,10 @@ mod tests {
 
     #[test]
     fn checksum_detects_tampering() {
-        let mut e = epoch(3, 4);
+        let e = epoch(3, 4);
         assert!(e.verify());
-        e.items[2].key += 1.0;
-        assert!(!e.verify(), "checksum must witness a torn payload");
+        let torn = torn(&e, |items| items[2].key += 1.0);
+        assert!(!torn.verify(), "checksum must witness a torn payload");
     }
 
     #[test]
@@ -389,23 +383,24 @@ mod tests {
                 let mut h = head;
                 h[word] ^= 1 << bit;
                 assert_ne!(
-                    lane_checksum(&h, &e.items),
+                    lane_checksum(&h, e.handle.local_items()),
                     e.checksum,
                     "head word {word} bit {bit}"
                 );
                 flips += 1;
             }
         }
-        for i in 0..e.items.len() {
+        for i in 0..e.handle.local_items().len() {
             for field in 0..3 {
                 for bit in 0..64 {
-                    let mut torn = e.clone();
-                    let s = &mut torn.items[i];
-                    match field {
-                        0 => s.id ^= 1 << bit,
-                        1 => s.weight = f64::from_bits(s.weight.to_bits() ^ 1 << bit),
-                        _ => s.key = f64::from_bits(s.key.to_bits() ^ 1 << bit),
-                    }
+                    let torn = torn(&e, |items| {
+                        let s = &mut items[i];
+                        match field {
+                            0 => s.id ^= 1 << bit,
+                            1 => s.weight = f64::from_bits(s.weight.to_bits() ^ 1 << bit),
+                            _ => s.key = f64::from_bits(s.key.to_bits() ^ 1 << bit),
+                        }
+                    });
                     assert!(!torn.verify(), "item {i} field {field} bit {bit}");
                     flips += 1;
                 }
@@ -417,14 +412,11 @@ mod tests {
     #[test]
     fn reordered_items_are_detected() {
         let e = epoch(4, 6);
-        let mut swapped = e.clone();
-        swapped.items.swap(1, 2);
+        let swapped = torn(&e, |items| items.swap(1, 2));
         assert!(!swapped.verify(), "neighbours in different lanes");
-        let mut swapped = e.clone();
-        swapped.items.swap(0, 4);
+        let swapped = torn(&e, |items| items.swap(0, 4));
         assert!(!swapped.verify(), "two items of the same lane");
-        let mut rotated = e.clone();
-        rotated.items.rotate_right(1);
+        let rotated = torn(&e, |items| items.rotate_right(1));
         assert!(!rotated.verify(), "last item moved to the front");
     }
 
@@ -433,9 +425,8 @@ mod tests {
         for len in [0, 1, 3, 4, 5, 7] {
             let e = epoch(9, len);
             assert!(e.verify(), "{len} items");
-            if let Some(last) = e.items.len().checked_sub(1) {
-                let mut torn = e.clone();
-                torn.items[last].key += 1.0;
+            if let Some(last) = e.handle.local_items().len().checked_sub(1) {
+                let torn = torn(&e, |items| items[last].key += 1.0);
                 assert!(!torn.verify(), "{len} items: last item unchecked");
             }
         }
@@ -447,17 +438,9 @@ mod tests {
         // is also a NaN bit pattern — an epoch whose threshold *is* that
         // NaN checksummed identically to one with no threshold at all.
         let items: Vec<SampleItem> = (0..4).map(|i| item(i, i as f64)).collect();
-        let none = SampleEpoch::new(7, items.clone(), 0, 4, 0, 1, None, 1);
-        let nan = SampleEpoch::new(
-            7,
-            items.clone(),
-            0,
-            4,
-            0,
-            1,
-            Some(f64::from_bits(u64::MAX)),
-            1,
-        );
+        let none = SampleEpoch::new(7, handle(items.clone(), None), 1);
+        let nan_bits = Some(f64::from_bits(u64::MAX));
+        let nan = SampleEpoch::new(7, handle(items.clone(), nan_bits), 1);
         assert!(none.verify() && nan.verify());
         assert_ne!(
             none.checksum, nan.checksum,
@@ -465,7 +448,7 @@ mod tests {
         );
         // And a zero-bits threshold (+0.0) must not collide with `None`
         // either, now that the value word defaults to 0 for `None`.
-        let zero = SampleEpoch::new(7, items, 0, 4, 0, 1, Some(0.0), 1);
+        let zero = SampleEpoch::new(7, handle(items, Some(0.0)), 1);
         assert_ne!(none.checksum, zero.checksum);
     }
 
@@ -533,7 +516,8 @@ mod tests {
                         let e = r.read();
                         assert!(e.verify(), "torn epoch {}", e.epoch);
                         assert!(e.epoch >= last, "epoch went backwards");
-                        assert_eq!(e.local_len(), e.total, "mixed epochs");
+                        let h = &e.handle;
+                        assert_eq!(h.local_len(), h.total_len(), "mixed epochs");
                         last = e.epoch;
                     }
                 });

@@ -32,9 +32,6 @@ use crate::dist::{BatchReport, DistConfig, PipelineReport, SamplingMode};
 use crate::metrics::PhaseTimes;
 use crate::sample::SampleItem;
 
-/// Wire representation of one sample member: `(id, weight, key)`.
-type WireItem = (u64, f64, f64);
-
 /// The master seed-stream derivation of [`CommBackend`]: the user seed
 /// salted with the sample size, so samplers of different geometry draw
 /// independent streams even under the same user seed.
@@ -275,18 +272,10 @@ impl<'a, C: Communicator> DistributedSampler<'a, C> {
     /// `None` elsewhere.
     pub fn gather_sample(&self) -> Option<Vec<SampleItem>> {
         let backend = self.engine.backend();
-        let wire: Vec<WireItem> = backend
-            .local_items()
-            .into_iter()
-            .map(|s| (s.id, s.weight, s.key))
-            .collect();
-        backend.comm().gather(0, wire).map(|parts| {
-            parts
-                .into_iter()
-                .flatten()
-                .map(|(id, weight, key)| SampleItem { id, weight, key })
-                .collect()
-        })
+        backend
+            .comm()
+            .gather(0, backend.local_items())
+            .map(|parts| parts.into_iter().flatten().collect())
     }
 
     /// A read handle on this PE's always-fresh sample slot (see

@@ -1,6 +1,7 @@
 //! Sample members and related helpers.
 
 use reservoir_btree::SampleKey;
+use reservoir_comm::Message;
 
 /// One member of a reservoir sample.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -25,6 +26,13 @@ impl SampleItem {
     }
 }
 
+/// A member travels as its three words: id, weight and key.
+impl Message for SampleItem {
+    fn words(&self) -> u64 {
+        3
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -36,5 +44,11 @@ mod tests {
         assert_eq!(s.id, 77);
         assert_eq!(s.weight, 3.5);
         assert_eq!(s.key, 0.25);
+    }
+
+    #[test]
+    fn a_member_costs_the_words_of_its_fields() {
+        let s = SampleItem::from_entry(&SampleKey::new(0.25, 77), 3.5);
+        assert_eq!(s.words(), (s.id, s.weight, s.key).words());
     }
 }

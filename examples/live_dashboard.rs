@@ -6,7 +6,8 @@
 //!
 //! Under [`ContinuousMode::EveryBatch`] each selection round publishes
 //! an immutable [`SampleEpoch`](reservoir::dist::SampleEpoch) — the
-//! sample finalized to exactly `k` through the paper's Section 5
+//! [`SampleHandle`](reservoir::dist::SampleHandle) of the sample
+//! finalized to exactly `k` through the paper's Section 5
 //! finalize/place path — by swapping one `Arc` pointer under a mutex. A
 //! dashboard read locks that mutex for one `Arc` clone: it waits only
 //! while another thread holds it for a clone or a swap, never for a
@@ -94,12 +95,13 @@ fn main() {
                             assert!(e.verify(), "torn epoch on the dashboard");
                             let _ = metrics.snapshot();
                             if seen.last().map_or(e.epoch > 0, |o| o.epoch < e.epoch) {
+                                let members = e.handle.local_items();
                                 seen.push(Observation {
                                     epoch: e.epoch,
-                                    total: e.total,
-                                    local_alarms: e.items.iter().filter(|m| m.id & 1 == 1).count()
+                                    total: e.handle.total_len(),
+                                    local_alarms: members.iter().filter(|m| m.id & 1 == 1).count()
                                         as u64,
-                                    local_members: e.local_len(),
+                                    local_members: members.len() as u64,
                                 });
                             }
                             if stop.load(Ordering::Relaxed) {
@@ -129,9 +131,7 @@ fn main() {
 
         // After the pipeline ends, the slot keeps serving the final epoch
         // — which is exactly the collected output.
-        let last = reader.read();
-        assert_eq!(last.total, report.handle.total_len());
-        assert_eq!(last.local_len(), report.handle.local_len());
+        assert_eq!(reader.read().handle, report.handle);
         (report.sample_size(), true_alarms, observations)
     });
 

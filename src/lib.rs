@@ -178,7 +178,8 @@
 //!
 //! With `.with_continuous(ContinuousMode::EveryBatch)` every selection
 //! round publishes an immutable, checksummed [`dist::SampleEpoch`] — the
-//! sample finalized to exactly `k` through the Section 5 path — by
+//! [`dist::SampleHandle`] of the sample finalized to exactly `k` through
+//! the Section 5 path, sharing its members rather than copying them — by
 //! swapping one `Arc` pointer under a mutex. A [`dist::SnapshotReader`]
 //! (cheap to clone, send it to any thread) reads a consistent epoch at any
 //! moment without pausing ingestion, and publication is observationally
@@ -202,7 +203,7 @@
 //!         sampler.process_batch(&source.next_batch());
 //!     }
 //!     let epoch = reader.read(); // consistent view, mid-ingestion
-//!     assert!(epoch.verify() && epoch.epoch == 3 && epoch.total == 30);
+//!     assert!(epoch.verify() && epoch.epoch == 3 && epoch.handle.total_len() == 30);
 //!     epoch.epoch
 //! });
 //! assert_eq!(epochs, vec![3, 3]);

@@ -229,7 +229,7 @@ fn continuous_publication_never_changes_the_final_sample() {
                         assert!(epoch.verify(), "{policy}: torn final epoch");
                         assert_eq!(epoch.epoch, 5, "{policy}: missing publications");
                         assert_eq!(
-                            fingerprint(epoch.items.iter().map(|m| (m.id, m.key))),
+                            fingerprint(epoch.handle.local_items().iter().map(|m| (m.id, m.key))),
                             fp,
                             "{policy}: final epoch diverged from collected output"
                         );
@@ -249,6 +249,48 @@ fn continuous_publication_never_changes_the_final_sample() {
                 "{policy} threads={threads}: continuous publication \
                  changed the fixed-seed sample"
             );
+        }
+    }
+}
+
+/// The solo Section 5 wire schedule in collective launches: an exact-mode
+/// collection is the count all-reduce (a reduce and a broadcast) plus one
+/// exclusive prefix sum, and continuous publication adds exactly that to
+/// every step. The global size is the count's, and the slices tile it.
+#[test]
+fn section5_output_is_one_count_and_one_exscan() {
+    for p in [1usize, 3] {
+        let run = |continuous: ContinuousMode| {
+            run_threads(p, |comm| {
+                let cfg = DistConfig::weighted(40, 2024).with_continuous(continuous);
+                let mut s = DistributedSampler::new(&comm, cfg);
+                // Reading the sequence number takes one value itself.
+                let since = |before: u64| comm.next_collective_seq() - before - 1;
+                let mut steps = Vec::new();
+                for b in 0..4u64 {
+                    let before = comm.next_collective_seq();
+                    s.process_batch(&unit_batch(comm.rank(), b, 150));
+                    steps.push(since(before));
+                }
+                let before = comm.next_collective_seq();
+                let handle = s.collect_output();
+                (steps, since(before), handle.local_len(), handle.total_len())
+            })
+        };
+        let (off, on) = (
+            run(ContinuousMode::Disabled),
+            run(ContinuousMode::EveryBatch),
+        );
+        for (pe, (off, on)) in off.iter().zip(&on).enumerate() {
+            assert_eq!((off.1, on.1), (3, 3), "p={p} pe={pe}: collect_output");
+            for (b, (d, e)) in off.0.iter().zip(&on.0).enumerate() {
+                assert_eq!(e - d, 3, "p={p} pe={pe} batch {b}: one publication");
+            }
+        }
+        for results in [&off, &on] {
+            let slices: u64 = results.iter().map(|r| r.2).sum();
+            assert!(results.iter().all(|r| r.3 == slices), "p={p}: total_len");
+            assert_eq!(slices, 40, "p={p}");
         }
     }
 }
@@ -325,7 +367,7 @@ fn unified_drain_survives_unequal_streams_on_both_policies() {
                 (
                     (report.batches, report.rounds, handle.total_len()),
                     fingerprint(handle.local_items().iter().map(|m| (m.id, m.key))),
-                    (epoch.epoch, epoch.total),
+                    (epoch.epoch, epoch.handle.total_len()),
                 )
             })
         };

@@ -33,7 +33,6 @@ const DETERMINISTIC: &[&str] = &[
     "comm_reduce_total",
     "engine_batches_total",
     "engine_items_total",
-    "engine_select_rounds_total",
     "scan_inserted_total",
     "select_rounds_total",
 ];

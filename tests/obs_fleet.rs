@@ -1,7 +1,7 @@
 //! Fleet accounting in the metrics registry: every shard step is an
-//! ordinary engine step, so the engine's counters count fleet records and
-//! fleet selection rounds exactly once. A test binary of its own because
-//! the registry is process-global: no other sampler may run beside it.
+//! ordinary engine step, so fleet records and fleet selection rounds are
+//! each counted exactly once. A test binary of its own because the
+//! registry is process-global: no other sampler may run beside it.
 
 use reservoir::comm::run_threads;
 use reservoir::dist::{DistConfig, ShardedSampler};
@@ -46,9 +46,11 @@ fn fleet_steps_count_records_and_rounds_once() {
         rounds > 0,
         "the workload never selected; the test is vacuous"
     );
-    assert_eq!(snap.counter("engine_select_rounds_total"), rounds);
-    assert!(
-        snap.get("sharded_solo_rounds_total").is_none(),
-        "per-shard rounds are the engine's counter, not a second one"
-    );
+    assert_eq!(snap.counter("select_rounds_total"), rounds);
+    for duplicate in ["engine_select_rounds_total", "sharded_solo_rounds_total"] {
+        assert!(
+            snap.get(duplicate).is_none(),
+            "{duplicate} counts the selection layer's rounds twice"
+        );
+    }
 }

@@ -154,15 +154,16 @@ fn continuous_shard_epochs_match_standalone_epochs() {
                         );
                         let at = format!("window {window:?}, p {p}, batch {b}, shard {s}");
                         assert_eq!(got.epoch, want.epoch, "epoch number, {at}");
-                        assert_eq!(got.items, want.items, "members, {at}");
+                        let (g, w) = (&got.handle, &want.handle);
+                        assert_eq!(g.local_items(), w.local_items(), "members, {at}");
                         assert_eq!(
-                            (got.offset, got.total),
-                            (want.offset, want.total),
+                            (g.offset(), g.total_len()),
+                            (w.offset(), w.total_len()),
                             "placement, {at}"
                         );
                         assert_eq!(
-                            got.threshold.map(f64::to_bits),
-                            want.threshold.map(f64::to_bits),
+                            g.threshold().map(f64::to_bits),
+                            w.threshold().map(f64::to_bits),
                             "threshold, {at}"
                         );
                         assert_eq!(got.rounds, want.rounds, "finalize rounds, {at}");
@@ -531,7 +532,7 @@ fn continuous_sharded_snapshots_verify_and_do_not_perturb() {
             let epoch = reader.read();
             assert!(epoch.verify(), "torn epoch, shard {s}");
             assert_eq!(epoch.epoch, total_batches, "one epoch per superstep");
-            assert_eq!(epoch.total, 15, "finalized to k, shard {s}");
+            assert_eq!(epoch.handle.total_len(), 15, "finalized to k, shard {s}");
         }
         let plain_handles = plain.collect_output();
         let cont_handles = cont.collect_output();

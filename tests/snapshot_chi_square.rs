@@ -69,7 +69,7 @@ fn epoch_counts(
                     let e = reader.read();
                     assert!(e.verify(), "torn epoch (trial {t})");
                     assert_eq!(e.epoch, cut as u64, "one publication per batch");
-                    mid = e.items.iter().map(|m| m.id).collect();
+                    mid = e.handle.local_items().iter().map(|m| m.id).collect();
                 }
             }
             let _ = s.collect_output();

@@ -16,6 +16,7 @@
 //! pinned to one core.
 
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 use reservoir::comm::{run_threads, Communicator};
 use reservoir::dist::gather::GatherSampler;
@@ -66,17 +67,18 @@ fn check_read(reader: &SnapshotReader, last: &mut u64) -> u64 {
         e.epoch,
         *last
     );
+    let h = &e.handle;
     assert!(
-        e.offset + e.local_len() <= e.total,
+        h.offset() + h.local_len() <= h.total_len(),
         "epoch {}: placement {}+{} overruns total {}",
         e.epoch,
-        e.offset,
-        e.local_len(),
-        e.total
+        h.offset(),
+        h.local_len(),
+        h.total_len()
     );
-    if let Some(t) = e.threshold {
+    if let Some(t) = h.threshold() {
         assert!(
-            e.items.iter().all(|m| m.key <= t),
+            h.local_items().iter().all(|m| m.key <= t),
             "epoch {}: item key above the finalization threshold",
             e.epoch
         );
@@ -186,7 +188,8 @@ fn live_ingestion_never_serves_torn_epochs() {
                     reads += tally.reads;
                 }
                 let e = reader.read();
-                (e.local_len(), e.total, handle.total_len(), reads)
+                let h = &e.handle;
+                (h.local_len(), h.total_len(), handle.total_len(), reads)
             })
         });
         let total = results[0].1;
@@ -229,12 +232,13 @@ fn gather_policy_publishes_readably_under_stress() {
                 assert_eq!(tally.last, batches + 1);
             }
             let e = reader.read();
-            (comm.rank(), e.local_len(), e.total, handle.total_len())
+            let h = &e.handle;
+            (h.local_len(), h.total_len(), handle.total_len())
         })
     });
-    for (rank, local, total, handle_total) in &results {
+    for (rank, (local, total, handle_total)) in results.iter().enumerate() {
         assert_eq!(*total, *handle_total);
-        if *rank == 0 {
+        if rank == 0 {
             assert_eq!(*local, *total, "root epochs carry the whole sample");
         } else {
             assert_eq!(*local, 0, "non-root gather epochs are empty slices");
@@ -250,7 +254,7 @@ fn gather_policy_publishes_readably_under_stress() {
 /// Each round draws its epochs' sizes (0 to 8 items) from its own seed.
 #[test]
 fn every_publication_is_eventually_readable() {
-    use reservoir::dist::{EpochPublisher, SampleEpoch};
+    use reservoir::dist::{EpochPublisher, SampleEpoch, SampleHandle};
     let publications = stress_rounds(10).max(4) * 25;
     let base = test_base_seed();
     for round in 0..2u64 {
@@ -269,16 +273,8 @@ fn every_publication_is_eventually_readable() {
                         key: i as f64 / 9.0,
                     })
                     .collect();
-                p.publish(SampleEpoch::new(
-                    p.next_epoch(),
-                    items,
-                    0,
-                    len,
-                    0,
-                    1,
-                    Some(1.0),
-                    0,
-                ));
+                let handle = SampleHandle::from_parts(Arc::new(items), 0, len, 0, 1, Some(1.0));
+                p.publish(SampleEpoch::new(p.next_epoch(), handle, 0));
                 // Hand the CPU to the readers, so that they race the
                 // publications instead of reading after the last one.
                 std::thread::yield_now();
@@ -302,12 +298,13 @@ fn every_publication_is_eventually_readable() {
 /// readers keep being served the last successful publication forever.
 #[test]
 fn writer_panic_leaves_the_last_epoch_readable() {
-    use reservoir::dist::{EpochPublisher, SampleEpoch};
+    use reservoir::dist::{EpochPublisher, SampleEpoch, SampleHandle};
     let mut p = EpochPublisher::new(0, 1);
     let reader = p.reader();
     let writer = std::thread::spawn(move || {
         for n in 1..=3u64 {
-            p.publish(SampleEpoch::new(n, Vec::new(), 0, 0, 0, 1, None, 0));
+            let empty = SampleHandle::from_parts(Arc::default(), 0, 0, 0, 1, None);
+            p.publish(SampleEpoch::new(n, empty, 0));
         }
         panic!("publisher dies after epoch 3");
     });
